@@ -3,7 +3,7 @@
 The paper (Table 1) evaluates on krogan, dblp, flickr, pokec, biomine,
 ljournal-2008, and (in §7.2, inline) enwiki-2013. None of these ship in this
 offline container, so each gets a scaled-down synthetic analog generated by
-:func:`repro.synth_data.probabilistic_graph` preserving the knobs the
+:func:`repro.synth_data.probabilistic_graph_pdf` preserving the knobs the
 algorithms exercise (see DESIGN.md §4): triangle-count *ordering* across
 datasets, average edge probability, probability distribution family, and —
 for the enwiki analog — a handful of large communities that drive c_triangle

@@ -87,8 +87,3 @@ def is_k_nucleus(edges, k: int) -> bool:
     labels = union_find([clique_triangles(cl) for cl in cliques])
     return len(set(labels.values())) == 1
 
-
-def triangle_in_k_nucleus(edges, tri: tuple, k: int) -> bool:
-    """1_w indicator: does some k-nucleus subgraph of G contain ``tri``?"""
-    nu = nucleus_numbers(edges)
-    return nu.get(tuple(sorted(tri)), -1) >= k

@@ -1,20 +1,15 @@
-"""s-connectivity of triangles (Definition 2, r=3, s=4).
+"""Connected components by union-find, including s-connectivity of triangles
+(Definition 2, r=3, s=4).
 
 Two triangles are s-connected when a chain of triangles links them such that
-consecutive ones lie in a common 4-clique. Equivalently: build the bipartite
-triangle↔clique incidence and take connected components. Two implementations:
-
-* :func:`connected_labels` — GraphX-style iterative min-label propagation over
-  the incidence DataFrame (labels converge in O(diameter) rounds); used when
-  the incidence lives in Spark.
-* :func:`union_find` — classic DSU over collected incidence lists; used inside
-  per-sample kernels and on small extracted subgraphs.
+consecutive ones lie in a common 4-clique. Equivalently: merge the four
+triangles of every 4-clique and take connected components. All callers work
+on collected Python structures, not Spark: ℓ/w-nucleus extraction, the
+deterministic k-nucleus check inside sampled worlds, and the vertex
+components of the core and truss baselines.
 """
 from collections import defaultdict
 from typing import Hashable, Iterable, Sequence
-
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
 def union_find(groups: Iterable[Sequence[Hashable]]) -> dict[Hashable, Hashable]:
@@ -59,37 +54,3 @@ def components_of(groups: Iterable[Sequence[Hashable]]) -> list[set]:
     for el, rep in labels.items():
         comp[rep].add(el)
     return list(comp.values())
-
-
-def connected_labels(inc: DataFrame, max_iter: int = 60) -> DataFrame:
-    """Component label per triangle from an incidence DF (cid, tid).
-
-    Iterative min-label propagation: each round a clique takes the min label
-    of its member triangles and every member takes the min over its cliques.
-    Returns (tid, label) where label is the lexicographically smallest tid of
-    the component. Triangles sharing no clique keep their own tid as label.
-    """
-    labels = inc.select("tid").distinct().withColumn("label", F.col("tid"))
-    edges = inc.select("cid", "tid")
-    for _ in range(max_iter):
-        clique_min = (
-            edges.join(labels, "tid")
-            .groupBy("cid")
-            .agg(F.min("label").alias("clabel"))
-        )
-        new_labels = (
-            edges.join(clique_min, "cid")
-            .groupBy("tid")
-            .agg(F.min("clabel").alias("nlabel"))
-            .join(labels, "tid")
-            .select(
-                "tid", F.least("nlabel", "label").alias("label"),
-                (F.col("nlabel") < F.col("label")).alias("changed"),
-            )
-        )
-        new_labels = new_labels.localCheckpoint()
-        changed = new_labels.filter("changed").limit(1).count()
-        labels = new_labels.drop("changed")
-        if changed == 0:
-            break
-    return labels

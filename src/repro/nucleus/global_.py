@@ -19,14 +19,14 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.det.adjacency import adj_sets, canon, enumerate_triangles
+from repro.det.adjacency import adj_sets, enumerate_triangles
 from repro.det.nucleus import is_k_nucleus, nucleus_numbers
 from repro.nucleus.local import (
     LocalDecomposition,
     NucleusSubgraph,
-    _CLIQUE_EDGE_COLS,
-    _clique_tids,
+    cliques_within,
     ell_nuclei,
+    union_subgraph,
 )
 from repro.prob.sampler import hoeffding_samples
 
@@ -105,15 +105,11 @@ def grow_candidates(decomp: LocalDecomposition, k: int) -> list[dict]:
     cands: dict[frozenset, dict] = {}
     for nucleus in nuclei:
         # clique list of this component with member tids
-        cl_rows = []
+        cl_rows = cliques_within(decomp.clique_pdf, nucleus.tids)
         tri_cliques: dict[str, list[int]] = defaultdict(list)
-        for row in decomp.clique_pdf.itertuples(index=False):
-            tids = _clique_tids(row)
-            if set(tids) <= nucleus.tids:
-                idx = len(cl_rows)
-                cl_rows.append((row, tids))
-                for t in tids:
-                    tri_cliques[t].append(idx)
+        for idx, (_, tids) in enumerate(cl_rows):
+            for t in tids:
+                tri_cliques[t].append(idx)
         for seed_tid in sorted(nucleus.tids):
             chosen = set(tri_cliques[seed_tid])
             while True:
@@ -135,12 +131,7 @@ def grow_candidates(decomp: LocalDecomposition, k: int) -> list[dict]:
             key = frozenset((id(nucleus), ci) for ci in chosen)
             if key in cands:
                 continue
-            edges: dict = {}
-            for ci in chosen:
-                row = cl_rows[ci][0]
-                for a, b, pc in _CLIQUE_EDGE_COLS:
-                    edges[canon(getattr(row, a), getattr(row, b))] = getattr(row, pc)
-            cands[key] = edges
+            cands[key] = union_subgraph(k, (cl_rows[ci] for ci in chosen)).edges
     return list(cands.values())
 
 

@@ -4,22 +4,22 @@ Pipeline:
 
 1. **Enumeration (Spark, distributed)** — triangles, 4-cliques and the
    triangle↔clique incidence with extension probabilities Pr(E_i)
-   (`repro.graph`). This is the memory- and shuffle-heavy part.
+   (`repro.graph`), collected once into pandas frames by
+   :func:`collect_structures`. This is the memory- and shuffle-heavy part.
 2. **Initial κ scoring** — for every triangle, κ = max k with
    Pr(△)·Pr[ζ ≥ k] ≥ θ, using either the exact Poisson-binomial DP
    (scorer="dp") or the paper's statistical approximations with DP fallback
-   (scorer="ap"). In the Spark engine this runs as a `mapInPandas` kernel
-   over grouped extension lists; the driver engine scores from collected
-   incidence (identical kernels).
-3. **Peeling** — level-synchronous batch peeling (the distributed analog of
+   (scorer="ap"), computed in-process from the collected incidence.
+3. **Peeling** — level-synchronous batch peeling (the batch analog of
    Algorithm 1's min-peel; Batagelj–Zaveršnik running-max level semantics):
    at each level remove every triangle whose current κ ≤ level (cascading to
-   a fixpoint), kill the 4-cliques containing them, rescore the survivors
-   whose clique multiset shrank. ν(△) = removal level. Engines:
-   ``engine="driver"`` (dict/heap state, rescoring only affected triangles —
-   the default; extracted state is small once enumeration is done) and
-   ``engine="spark"`` (all state in DataFrames, full rescoring per round,
-   lineage truncated with localCheckpoint). Both produce identical ν.
+   a fixpoint), kill the 4-cliques containing them, rescore only the
+   survivors whose clique multiset shrank. ν(△) = removal level.
+4. **Extraction** — :func:`ell_nuclei` takes, for one k, the s-connected
+   unions of 4-cliques whose four triangles all have ν ≥ k. This module is
+   the only one that reads the ``clique_pdf`` row layout: FG and WG select
+   cliques and build subgraphs through :func:`cliques_within`,
+   :func:`union_subgraph` and :func:`connected_subgraphs`.
 
 Triangles with Pr(△) < θ get ν = −1: no subgraph containing them can satisfy
 Definition 5 even at k = 0, so they join no nucleus and their cliques are
@@ -28,11 +28,11 @@ dead from the start.
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.det.adjacency import canon
 from repro.graph.cliques import four_cliques, incidence
@@ -83,23 +83,17 @@ class NucleusSubgraph:
         return pd.DataFrame(rows, columns=["u", "v", "p"])
 
 
-def enumerate_structures(edge_df: DataFrame):
-    """Spark triangle / 4-clique / incidence DataFrames for an edge DF."""
-    t = triangles(edge_df)
-    c = four_cliques(edge_df, t)
-    return t, c, incidence(c)
-
-
 def collect_structures(spark: SparkSession, edge_df: DataFrame):
     """Run the distributed enumeration once and collect the pandas frames
     (tri_pdf, clique_pdf, inc_pdf) — reusable across θ/scorer sweeps via
     ``local_decomposition(..., structures=...)`` so parameter sweeps time
     only scoring + peeling, not a re-enumeration of the same graph."""
-    tri_df, clique_df, inc_df = enumerate_structures(edge_df)
+    tri_df = triangles(edge_df)
+    clique_df = four_cliques(edge_df, tri_df)
     return (
         tri_df.select("tid", "x", "y", "z", "p_tri").toPandas(),
         clique_df.toPandas(),
-        inc_df.toPandas(),
+        incidence(clique_df).toPandas(),
     )
 
 
@@ -128,40 +122,27 @@ def local_decomposition(
     theta: float,
     *,
     scorer: str = "dp",
-    engine: str = "driver",
     budget_s: float | None = None,
     structures=None,
 ) -> LocalDecomposition:
     """Full ℓ-NuDecomp of a probabilistic edge DataFrame (u, v, p).
 
-    ``budget_s`` is an optional wall-clock budget: when exceeded the driver
-    engine raises TimeoutError — the mechanism behind the paper's "N.P."
-    (not possible) entries for exact DP on its largest dataset.
-    ``structures`` (from :func:`collect_structures`) skips re-enumeration;
-    driver engine only.
+    ``budget_s`` is an optional wall-clock budget, counted from the call:
+    when exceeded the peel raises TimeoutError — the mechanism behind the
+    paper's "N.P." (not possible) entries for exact DP on its largest
+    dataset. ``structures`` (from :func:`collect_structures`) skips
+    re-enumeration.
     """
     deadline = None if budget_s is None else time.monotonic() + budget_s
-    if structures is not None:
-        if engine != "driver":
-            raise ValueError("precomputed structures require engine='driver'")
-        tri_pdf, clique_pdf, inc_pdf = structures
-        nu, kappa0, methods = _peel_driver(tri_pdf, inc_pdf, theta, scorer, deadline)
-        return LocalDecomposition(theta, nu, kappa0, tri_pdf, clique_pdf, methods)
-    tri_df, clique_df, inc_df = enumerate_structures(edge_df)
-    tri_pdf = tri_df.select("tid", "x", "y", "z", "p_tri").toPandas()
-    clique_pdf = clique_df.toPandas()
-    if engine == "driver":
-        inc_pdf = inc_df.toPandas()
-        nu, kappa0, methods = _peel_driver(tri_pdf, inc_pdf, theta, scorer, deadline)
-    elif engine == "spark":
-        nu, kappa0, methods = _peel_spark(spark, tri_df, inc_df, theta, scorer)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    if structures is None:
+        structures = collect_structures(spark, edge_df)
+    tri_pdf, clique_pdf, inc_pdf = structures
+    nu, kappa0, methods = _peel_driver(tri_pdf, inc_pdf, theta, scorer, deadline)
     return LocalDecomposition(theta, nu, kappa0, tri_pdf, clique_pdf, methods)
 
 
 # ---------------------------------------------------------------------------
-# driver engine
+# peeling
 # ---------------------------------------------------------------------------
 
 
@@ -230,110 +211,46 @@ def _peel_driver(tri_pdf, inc_pdf, theta, scorer, deadline: float | None = None)
 
 
 # ---------------------------------------------------------------------------
-# spark engine
-# ---------------------------------------------------------------------------
-
-
-def _kappa_map(theta: float, scorer: str):
-    """mapInPandas kernel: (tid, p_tri, exts) -> (tid, kappa)."""
-    score = make_scorer(scorer)
-
-    def fn(batches):
-        for pdf in batches:
-            kappas = [
-                score(p, np.asarray(e if e is not None else [], dtype=np.float64), theta)[0]
-                for p, e in zip(pdf.p_tri, pdf.exts)
-            ]
-            yield pd.DataFrame({"tid": pdf.tid, "kappa": np.asarray(kappas, np.int32)})
-
-    return fn
-
-
-def _peel_spark(spark, tri_df, inc_df, theta, scorer):
-    """Level-synchronous batch peeling with all state in DataFrames."""
-    inc = inc_df.localCheckpoint()
-    state = (
-        tri_df.select(
-            "tid",
-            "p_tri",
-            F.when(F.col("p_tri") >= theta - EPS, F.lit(None).cast("int"))
-            .otherwise(F.lit(-1))
-            .alias("nu"),
-        )
-    ).localCheckpoint()
-    kappa0: dict[str, int] = {}
-    level = 0
-    first = True
-    while True:
-        alive = state.filter(F.col("nu").isNull()).select("tid", "p_tri")
-        if alive.limit(1).count() == 0:
-            break
-        alive_cid = (
-            inc.join(alive.select("tid"), "tid")
-            .groupBy("cid")
-            .agg(F.count("*").alias("n_alive"))
-            .filter(F.col("n_alive") == 4)
-            .select("cid")
-        )
-        sup = (
-            inc.join(alive_cid, "cid")
-            .groupBy("tid")
-            .agg(F.collect_list("ext_prob").alias("exts"))
-        )
-        scored = (
-            alive.join(sup, "tid", "left")
-            .mapInPandas(
-                _kappa_map(theta, scorer), schema="tid string, kappa int"
-            )
-        ).localCheckpoint()
-        if first:
-            kappa0 = {r.tid: r.kappa for r in scored.collect()}
-            first = False
-        min_k = scored.agg(F.min("kappa")).collect()[0][0]
-        level = max(level, int(min_k))
-        remove = scored.filter(F.col("kappa") <= level).select(
-            "tid", F.lit(level).alias("new_nu")
-        )
-        state = (
-            state.join(remove, "tid", "left")
-            .select(
-                "tid",
-                "p_tri",
-                F.coalesce("nu", "new_nu").alias("nu"),
-            )
-        ).localCheckpoint()
-    nu = {r.tid: int(r.nu) for r in state.collect()}
-    for t in nu:
-        kappa0.setdefault(t, -1)  # θ-filtered triangles never got scored
-    return nu, kappa0, Counter()
-
-
-# ---------------------------------------------------------------------------
 # nuclei extraction
 # ---------------------------------------------------------------------------
+
+
+def cliques_within(clique_pdf: pd.DataFrame, tids: set) -> list[tuple]:
+    """(row, its four tids) of every clique whose triangles all lie in
+    ``tids``, in ``clique_pdf`` row order."""
+    out = []
+    for row in clique_pdf.itertuples(index=False):
+        four = _clique_tids(row)
+        if all(t in tids for t in four):
+            out.append((row, four))
+    return out
+
+
+def union_subgraph(k: int, cliques: Iterable[tuple]) -> NucleusSubgraph:
+    """The union of (row, tids) cliques as one subgraph at level ``k``."""
+    sub = NucleusSubgraph(k, set(), {}, set())
+    for row, tids in cliques:
+        sub.tids.update(tids)
+        sub.vertices.update((row.x, row.y, row.z, row.w))
+        for a, b, pc in _CLIQUE_EDGE_COLS:
+            sub.edges[canon(getattr(row, a), getattr(row, b))] = getattr(row, pc)
+    return sub
+
+
+def connected_subgraphs(clique_pdf: pd.DataFrame, k: int, tids: set) -> list[NucleusSubgraph]:
+    """The s-connected unions of the cliques whose triangles all lie in
+    ``tids``, one subgraph per component."""
+    cliques = cliques_within(clique_pdf, tids)
+    comps = components_of(tids for _, tids in cliques)
+    label_of = {t: i for i, comp in enumerate(comps) for t in comp}
+    members: list[list[tuple]] = [[] for _ in comps]
+    for c in cliques:
+        members[label_of[c[1][0]]].append(c)
+    return [union_subgraph(k, m) for m in members]
 
 
 def ell_nuclei(decomp: LocalDecomposition, k: int) -> list[NucleusSubgraph]:
     """All ℓ-(k,θ)-nuclei: maximal s-connected unions of 4-cliques whose
     four triangles all have ν ≥ k (the standard level-k extraction)."""
-    nu = decomp.nu
-    groups, rows = [], []
-    for row in decomp.clique_pdf.itertuples(index=False):
-        tids = _clique_tids(row)
-        if all(nu.get(t, -1) >= k for t in tids):
-            groups.append(tids)
-            rows.append(row)
-    comps = components_of(groups)
-    label_of = {}
-    for i, comp in enumerate(comps):
-        for t in comp:
-            label_of[t] = i
-    out = [NucleusSubgraph(k, set(), {}, set()) for _ in comps]
-    for row, tids in zip(rows, groups):
-        n = out[label_of[tids[0]]]
-        n.tids.update(tids)
-        n.vertices.update((row.x, row.y, row.z, row.w))
-        for a, b, pc in _CLIQUE_EDGE_COLS:
-            u, v = getattr(row, a), getattr(row, b)
-            n.edges[canon(u, v)] = getattr(row, pc)
-    return out
+    kept = {t for t, v in decomp.nu.items() if v >= k}
+    return connected_subgraphs(decomp.clique_pdf, k, kept)

@@ -4,16 +4,11 @@
 * PCC — probabilistic clustering coefficient:
   3·Σ_△ p(uv)p(vw)p(uw) / Σ_wedges p(uv)p(uw), wedge pairs unordered.
 
-Both have a Spark implementation (whole input graphs; the triangle sum
-reuses the distributed enumeration) and a pandas implementation (tiny
-extracted nuclei, where a Spark job per subgraph would be all overhead).
-The two agree and are cross-checked against DuckDB SQL in the tests.
+Both are computed in pandas: they score extracted nuclei, trusses and
+cores, which are small, so a Spark job per subgraph would be all overhead.
+The tests cross-check both against DuckDB SQL over the same edges.
 """
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
-from repro.graph.triangles import triangles
 
 
 def pd_pcc_pandas(edges: pd.DataFrame) -> tuple[float, float]:
@@ -42,37 +37,6 @@ def pd_pcc_pandas(edges: pd.DataFrame) -> tuple[float, float]:
     )
     pcc = 3.0 * tri_sum / wedges if wedges > 0 else 0.0
     return float(pd_), float(pcc)
-
-
-def pd_spark(edge_df: DataFrame) -> float:
-    """PD of a Spark edge DataFrame (u, v, p)."""
-    nv = (
-        edge_df.select(F.col("u").alias("x"))
-        .unionAll(edge_df.select(F.col("v").alias("x")))
-        .distinct()
-        .count()
-    )
-    if nv < 2:
-        return 0.0
-    s = edge_df.agg(F.sum("p")).collect()[0][0] or 0.0
-    return float(s) / (nv * (nv - 1) / 2.0)
-
-
-def pcc_spark(edge_df: DataFrame) -> float:
-    """PCC of a Spark edge DataFrame (u, v, p)."""
-    tri = triangles(edge_df)
-    tri_sum = tri.agg(F.sum("p_tri")).collect()[0][0] or 0.0
-    inc = edge_df.select(F.col("u").alias("c"), "p").unionAll(
-        edge_df.select(F.col("v").alias("c"), "p")
-    )
-    w = (
-        inc.groupBy("c")
-        .agg(((F.sum("p") ** 2 - F.sum(F.col("p") ** 2)) / 2).alias("w"))
-        .agg(F.sum("w"))
-        .collect()[0][0]
-        or 0.0
-    )
-    return 3.0 * float(tri_sum) / float(w) if w > 0 else 0.0
 
 
 def subgraph_stats(edges: pd.DataFrame) -> dict:

@@ -12,13 +12,10 @@ The per-world decompositions fan out over Spark via the shared
 """
 from pyspark.sql import SparkSession
 
-from repro.det.adjacency import canon
-from repro.graph.connectivity import components_of
 from repro.nucleus.local import (
     LocalDecomposition,
     NucleusSubgraph,
-    _CLIQUE_EDGE_COLS,
-    _clique_tids,
+    connected_subgraphs,
     ell_nuclei,
 )
 from repro.nucleus.global_ import mc_triangle_counts
@@ -46,24 +43,7 @@ def w_nuclei(
         got = counts.get(i, {})
         kept = {t for t in h.tids if got.get(t, 0) / n >= theta}
         # connected union of surviving triangles' 4-cliques within H
-        groups, rows = [], []
-        for row in decomp.clique_pdf.itertuples(index=False):
-            tids = _clique_tids(row)
-            if set(tids) <= kept:
-                groups.append(tids)
-                rows.append(row)
-        for comp in components_of(groups):
-            sub = NucleusSubgraph(k, set(), {}, set())
-            for row, tids in zip(rows, groups):
-                if tids[0] in comp:
-                    sub.tids.update(tids)
-                    sub.vertices.update((row.x, row.y, row.z, row.w))
-                    for a, b, pc in _CLIQUE_EDGE_COLS:
-                        sub.edges[canon(getattr(row, a), getattr(row, b))] = getattr(
-                            row, pc
-                        )
-            if sub.tids:
-                out.append(sub)
+        out.extend(connected_subgraphs(decomp.clique_pdf, k, kept))
     return out
 
 

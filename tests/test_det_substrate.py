@@ -6,7 +6,7 @@ import pytest
 from helpers import complete_graph
 from repro.det.adjacency import adj_sets, enumerate_4cliques, enumerate_triangles
 from repro.det.core import core_numbers
-from repro.det.nucleus import is_k_nucleus, nucleus_numbers, triangle_in_k_nucleus
+from repro.det.nucleus import is_k_nucleus, nucleus_numbers
 from repro.det.truss import truss_numbers
 
 
@@ -111,10 +111,11 @@ def test_is_k_nucleus_empty():
     assert not is_k_nucleus([], 0)
 
 
-def test_triangle_in_k_nucleus():
-    edges = kn(4) + [(3, 4)]
-    assert triangle_in_k_nucleus(edges, (0, 1, 2), 1)
-    assert not triangle_in_k_nucleus(edges, (0, 1, 2), 2)
+def test_nucleus_k4_with_pendant_edge():
+    """ν ≥ k ⟺ the triangle lies in a k-nucleus (the 1_w indicator)."""
+    nu = nucleus_numbers(kn(4) + [(3, 4)])
+    assert nu[(0, 1, 2)] >= 1
+    assert not nu[(0, 1, 2)] >= 2
 
 
 # --- Lemma 3: the only k-nucleus on k+3 vertices is the (k+3)-clique --------

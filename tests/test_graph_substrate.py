@@ -16,6 +16,12 @@ def spark_edges(spark, pdf):
     return spark.createDataFrame(pdf)
 
 
+def sorted_triangles(tri_df):
+    """Triangles as id-sorted (a, b, c, p_tri) rows, the TRIANGLE_SQL layout."""
+    v = F.sort_array(F.array("x", "y", "z"))
+    return tri_df.select(v[0].alias("a"), v[1].alias("b"), v[2].alias("c"), "p_tri")
+
+
 # --- canonicalization -------------------------------------------------------
 
 
@@ -61,13 +67,18 @@ def test_oriented_preserves_edges_and_orients_by_rank(spark):
 @pytest.mark.parametrize("seed,n,ps", [(1, 20, 0.4), (2, 30, 0.3), (3, 40, 0.2), (4, 15, 0.7)])
 def test_triangles_match_duckdb(spark, seed, n, ps):
     pdf = random_prob_graph(n, ps, seed=seed)
-    t = triangles(spark_edges(spark, pdf)).select(
-        F.sort_array(F.array("x", "y", "z")).getItem(0).alias("a"),
-        F.sort_array(F.array("x", "y", "z")).getItem(1).alias("b"),
-        F.sort_array(F.array("x", "y", "z")).getItem(2).alias("c"),
-        "p_tri",
-    )
+    t = sorted_triangles(triangles(spark_edges(spark, pdf)))
     assert_equivalent(t, TRIANGLE_SQL, e=pdf)
+
+
+def test_oracle_detects_mismatch(spark):
+    """The oracle rejects a triangle table with one row missing."""
+    pdf = random_prob_graph(20, 0.4, seed=1)
+    t = sorted_triangles(triangles(spark_edges(spark, pdf)))
+    wrong = t.exceptAll(t.orderBy("a", "b", "c").limit(1))
+    assert wrong.count() == t.count() - 1
+    with pytest.raises(AssertionError):
+        assert_equivalent(wrong, TRIANGLE_SQL, e=pdf)
 
 
 def test_triangles_k6_count(spark):
@@ -76,12 +87,7 @@ def test_triangles_k6_count(spark):
 
 def test_triangles_on_analog_matches_duckdb(spark):
     pdf = analog_pdf("krogan", sf=0.05)
-    t = triangles(spark_edges(spark, pdf)).select(
-        F.sort_array(F.array("x", "y", "z")).getItem(0).alias("a"),
-        F.sort_array(F.array("x", "y", "z")).getItem(1).alias("b"),
-        F.sort_array(F.array("x", "y", "z")).getItem(2).alias("c"),
-        "p_tri",
-    )
+    t = sorted_triangles(triangles(spark_edges(spark, pdf)))
     assert_equivalent(t, TRIANGLE_SQL, e=pdf)
 
 

@@ -1,5 +1,6 @@
 """ℓ-NuDecomp (Algorithm 1) against the definitional brute-force oracle,
-paper worked examples, engine equivalence, and structural invariants."""
+paper worked examples, s-connectivity of the extracted nuclei, and
+structural invariants."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -30,20 +31,6 @@ def test_matches_reference_thetas(spark, theta):
     pdf = random_prob_graph(8, 0.8, seed=42)
     d = local_decomposition(spark, spark.createDataFrame(pdf), theta)
     assert nu_by_tuple(d) == local_nu_reference(edges_list(pdf), theta)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_spark_engine_equals_driver_engine(spark, seed):
-    pdf = random_prob_graph(9, 0.6, seed=100 + seed)
-    d1 = local_decomposition(spark, spark.createDataFrame(pdf), 0.2, engine="driver")
-    d2 = local_decomposition(spark, spark.createDataFrame(pdf), 0.2, engine="spark")
-    assert d1.nu == d2.nu
-    assert d1.kappa0 == d2.kappa0
-
-
-def test_unknown_engine_raises(spark):
-    with pytest.raises(ValueError):
-        local_decomposition(spark, spark.createDataFrame(fig1_H()), 0.2, engine="x")
 
 
 # --- paper worked examples --------------------------------------------------
@@ -81,6 +68,38 @@ def test_example2_tail_values():
     e = edges_list(example2_K5())
     assert tail_probability(e, (0, 1, 2), 2, "l") == pytest.approx(0.6**9)
     assert tail_probability(e, (0, 1, 2), 2, "w") == pytest.approx(0.6**10)
+
+
+# --- s-connectivity of extracted nuclei -------------------------------------
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_disjoint_blocks_are_separate_nuclei(spark, blocks):
+    """N disjoint high-probability K5 blocks give N ℓ-nuclei, one per block."""
+    pdf = pd.concat(
+        [
+            complete_graph(5, 0.9).assign(u=lambda d: d.u + 10 * i, v=lambda d: d.v + 10 * i)
+            for i in range(blocks)
+        ],
+        ignore_index=True,
+    )
+    d = local_decomposition(spark, spark.createDataFrame(pdf), 0.1)
+    nuclei = ell_nuclei(d, 1)
+    assert sorted(sorted(h.vertices) for h in nuclei) == [
+        list(range(10 * i, 10 * i + 5)) for i in range(blocks)
+    ]
+    assert all(len(h.tids) == 10 and len(h.edges) == 10 for h in nuclei)
+
+
+def test_k4s_sharing_a_triangle_are_one_nucleus(spark):
+    """Two K4s sharing triangle (0,1,2) are s-connected: one ℓ-nucleus."""
+    pdf = complete_graph(5, 1.0)
+    pdf = pdf[~((pdf.u == 3) & (pdf.v == 4))]  # K5 minus edge (3,4)
+    d = local_decomposition(spark, spark.createDataFrame(pdf), 0.5)
+    nuclei = ell_nuclei(d, 1)
+    assert len(nuclei) == 1
+    assert nuclei[0].vertices == {0, 1, 2, 3, 4}
+    assert len(nuclei[0].edges) == 9 and len(nuclei[0].tids) == 7
 
 
 # --- structural invariants --------------------------------------------------
@@ -159,8 +178,6 @@ def test_precomputed_structures_equivalent(spark):
     d1 = local_decomposition(spark, e, 0.2)
     d2 = local_decomposition(spark, e, 0.2, structures=s)
     assert d1.nu == d2.nu and d1.kappa0 == d2.kappa0
-    with pytest.raises(ValueError):
-        local_decomposition(spark, e, 0.2, structures=s, engine="spark")
 
 
 def test_unknown_scorer_raises(spark):

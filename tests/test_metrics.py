@@ -1,10 +1,11 @@
-"""PD / PCC metrics (Eq. 19–20): pandas vs Spark vs DuckDB oracle."""
+"""PD / PCC metrics (Eq. 19–20): pandas vs the DuckDB oracle."""
+import duckdb
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from helpers import complete_graph, random_prob_graph
-from repro.nucleus.metrics import pcc_spark, pd_pcc_pandas, pd_spark, subgraph_stats
+from helpers import TRIANGLE_SQL, complete_graph, random_prob_graph
+from repro.nucleus.metrics import pd_pcc_pandas, subgraph_stats
 from repro.oracle import assert_equivalent
 
 
@@ -30,13 +31,31 @@ def test_empty_edges():
     assert pd_pcc_pandas(pd.DataFrame(columns=["u", "v", "p"])) == (0.0, 0.0)
 
 
+#: PD and PCC of the edge table e, written directly from Eq. 19–20.
+PD_PCC_SQL = f"""
+WITH ends AS (SELECT u AS c, p FROM e UNION ALL SELECT v AS c, p FROM e),
+nv AS (SELECT count(DISTINCT c) AS n FROM ends),
+wedges AS (
+  SELECT sum(w) AS w FROM (
+    SELECT (sum(p) * sum(p) - sum(p * p)) / 2 AS w FROM ends GROUP BY c
+  )
+)
+SELECT (SELECT sum(p) FROM e) / (n * (n - 1) / 2.0) AS pd,
+       3 * (SELECT sum(p_tri) FROM ({TRIANGLE_SQL})) / w AS pcc
+FROM nv, wedges
+"""
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_spark_equals_pandas(spark, seed):
+def test_pandas_matches_duckdb(seed):
     pdf = random_prob_graph(25, 0.4, seed=seed)
-    sdf = spark.createDataFrame(pdf)
-    pd_p, pcc_p = pd_pcc_pandas(pdf)
-    assert pd_spark(sdf) == pytest.approx(pd_p)
-    assert pcc_spark(sdf) == pytest.approx(pcc_p)
+    con = duckdb.connect()
+    con.register("e", pdf)
+    want_pd, want_pcc = con.execute(PD_PCC_SQL).fetchone()
+    con.close()
+    got_pd, got_pcc = pd_pcc_pandas(pdf)
+    assert got_pd == pytest.approx(want_pd)
+    assert got_pcc == pytest.approx(want_pcc)
 
 
 def test_pd_sum_vs_duckdb(spark):

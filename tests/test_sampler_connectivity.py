@@ -1,11 +1,8 @@
-"""Possible-world sampler determinism/unbiasedness and s-connectivity."""
+"""Possible-world sampler determinism/unbiasedness and union-find components
+(s-connectivity of extracted nuclei is tested in test_local_nucleus.py)."""
 import numpy as np
-import pandas as pd
-import pytest
 
-from helpers import complete_graph
-from repro.graph.cliques import four_cliques, incidence
-from repro.graph.connectivity import components_of, connected_labels, union_find
+from repro.graph.connectivity import components_of, union_find
 from repro.prob.sampler import hoeffding_samples, sample_worlds, world_mask
 
 
@@ -60,40 +57,3 @@ def test_components_of_disjoint_groups():
 
 def test_components_empty():
     assert components_of([]) == []
-
-
-# --- spark label propagation vs python union-find ---------------------------
-
-
-@pytest.mark.parametrize("blocks", [1, 2, 3])
-def test_connected_labels_matches_union_find(spark, blocks):
-    """N disjoint K5 blocks: spark labels and DSU agree component-for-component."""
-    frames = [
-        complete_graph(5, 0.9).assign(u=lambda d: d.u + 10 * i, v=lambda d: d.v + 10 * i)
-        for i in range(blocks)
-    ]
-    pdf = pd.concat(frames, ignore_index=True)
-    inc = incidence(four_cliques(spark.createDataFrame(pdf)))
-    got = connected_labels(inc).toPandas()
-    spark_comps = {
-        frozenset(g.tid) for _, g in got.groupby("label")
-    }
-    rows = inc.select("cid", "tid").toPandas()
-    dsu_comps = {
-        frozenset(c)
-        for c in components_of([list(g.tid) for _, g in rows.groupby("cid")])
-    }
-    assert spark_comps == dsu_comps
-    assert len(spark_comps) == blocks
-
-
-def test_connected_labels_chain_of_cliques(spark):
-    """Two K4s sharing a triangle are one s-connected component."""
-    pdf = pd.DataFrame(
-        [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (0, 3, 1.0), (1, 3, 1.0), (2, 3, 1.0),
-         (0, 4, 1.0), (1, 4, 1.0), (2, 4, 1.0)],
-        columns=["u", "v", "p"],
-    )
-    inc = incidence(four_cliques(spark.createDataFrame(pdf)))
-    labels = connected_labels(inc).toPandas()
-    assert labels.label.nunique() == 1
