@@ -2,16 +2,20 @@
 
 Everything here evaluates the paper's definitions *literally*, by exhaustive
 possible-world enumeration (2^m worlds, m ≤ ~18 edges) or by a sequential
-exact min-peel that mirrors Algorithm 1 line-by-line. These implementations
-share no code with the Spark/driver production paths, so agreement is a real
-cross-check, not a tautology.
+exact min-peel that mirrors Algorithm 1 line-by-line. The ℓ and g indicators
+and the reference peel share no code with the Spark/driver production paths
+(they use only the adjacency helpers and the DP kernel), so agreement is a
+real cross-check, not a tautology. The w indicator uses the deterministic
+decomposition ``repro.det.nucleus.nucleus_numbers``: a literal "some
+k-nucleus subgraph of the world contains △" would enumerate the subgraphs
+of every world.
 """
 from itertools import combinations
 
 import numpy as np
 
 from repro.det.adjacency import adj_sets, canon, enumerate_4cliques
-from repro.det.nucleus import is_k_nucleus, nucleus_numbers
+from repro.det.nucleus import nucleus_numbers
 from repro.prob.support import EPS
 
 
@@ -21,6 +25,39 @@ def _support_in_world(world_edges: set, tri: tuple) -> int:
     if not all(x in adj for x in tri):
         return 0
     return len(adj[a] & adj[b] & adj[c])
+
+
+def is_k_nucleus_def3(world_edges: set, k: int) -> bool:
+    """Definition 3, literally: the graph is a deterministic k-(3,4)-nucleus
+    when it is non-empty, every edge lies in a 4-clique (a union of
+    4-cliques), every triangle lies in at least k 4-cliques, and every two
+    triangles are s-connected through 4-cliques of the graph. Cliques and
+    triangles are found by testing every vertex subset."""
+    edges = {canon(u, v) for u, v in world_edges}
+    if not edges:
+        return False
+    vertices = sorted({v for e in edges for v in e})
+
+    def complete(vs) -> bool:
+        return all((a, b) in edges for a, b in combinations(vs, 2))
+
+    cliques = [q for q in combinations(vertices, 4) if complete(q)]
+    tris = [t for t in combinations(vertices, 3) if complete(t)]
+    if any(not any(set(e) <= set(q) for q in cliques) for e in edges):
+        return False
+    if any(sum(set(t) <= set(q) for q in cliques) < k for t in tris):
+        return False
+    # s-connectivity: search from one triangle over shared 4-cliques
+    reached, todo = {tris[0]}, [tris[0]]
+    while todo:
+        t = todo.pop()
+        for q in cliques:
+            if set(t) <= set(q):
+                for t2 in combinations(q, 3):
+                    if t2 not in reached:
+                        reached.add(t2)
+                        todo.append(t2)
+    return len(reached) == len(tris)
 
 
 def tail_probability(edges, tri: tuple, k: int, mode: str) -> float:
@@ -49,7 +86,7 @@ def tail_probability(edges, tri: tuple, k: int, mode: str) -> float:
         if mode == "l":
             ok = _support_in_world(world, tri) >= k
         elif mode == "g":
-            ok = is_k_nucleus(world, k)
+            ok = is_k_nucleus_def3(world, k)
         elif mode == "w":
             ok = nucleus_numbers(world).get(tri, -1) >= k
         else:

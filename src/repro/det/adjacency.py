@@ -17,6 +17,13 @@ def canon(u, v) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def tid_of(tri) -> str:
+    """Canonical triangle key ``"a-b-c"``: the three vertex ids sorted
+    numerically. The one place the key format is defined; the collected
+    frames, the extracted nuclei and the Monte-Carlo kernels all use it."""
+    return "-".join(map(str, sorted(tri)))
+
+
 def adj_sets(edges: Iterable[Edge]) -> dict:
     """Adjacency sets {v: set(neighbours)} from canonical edges."""
     adj: dict = defaultdict(set)

@@ -17,19 +17,22 @@ from repro.det.adjacency import (
     adj_sets,
     canon,
     clique_triangles,
-    enumerate_4cliques,
     enumerate_triangles,
 )
 from repro.graph.connectivity import union_find
 
 
 def _structures(edges):
+    """(cliques, tri_cliques): the 4-cliques and, for *every* triangle, the
+    set of indices of the cliques containing it (empty for a triangle in no
+    4-clique). Triangles are enumerated once and extended to the cliques."""
     adj = adj_sets(edges)
-    cliques = enumerate_4cliques(adj)
-    tri_cliques: dict = {}
+    tris = enumerate_triangles(adj)
+    cliques = [(a, b, c, d) for a, b, c in tris for d in adj[a] & adj[b] & adj[c] if d > c]
+    tri_cliques: dict = {t: set() for t in tris}
     for idx, cl in enumerate(cliques):
         for t in clique_triangles(cl):
-            tri_cliques.setdefault(t, set()).add(idx)
+            tri_cliques[t].add(idx)
     return cliques, tri_cliques
 
 
@@ -41,7 +44,6 @@ def nucleus_numbers(edges) -> dict:
     """
     edges = [canon(u, v) for u, v in edges]
     cliques, tri_cliques = _structures(edges)
-    nu0 = {t: 0 for t in enumerate_triangles(adj_sets(edges)) if t not in tri_cliques}
     support = {t: len(cs) for t, cs in tri_cliques.items()}
     clique_alive = [True] * len(cliques)
     heap = [(s, t) for t, s in support.items()]
@@ -65,14 +67,14 @@ def nucleus_numbers(edges) -> dict:
                     support[t2] -= 1
                     tri_cliques[t2].discard(ci)
                     heapq.heappush(heap, (support[t2], t2))
-    nu.update(nu0)
     return nu
 
 
 def is_k_nucleus(edges, k: int) -> bool:
     """Definition 3 check for the whole graph: is G a deterministic
-    k-(3,4)-nucleus? (union of 4-cliques, min triangle support ≥ k,
-    triangles all s-connected). Empty graphs are not nuclei."""
+    k-(3,4)-nucleus? (union of 4-cliques, every triangle of G — also one
+    made of edges of different cliques — with support ≥ k, all triangles
+    s-connected). Empty graphs are not nuclei."""
     edges = [canon(u, v) for u, v in edges]
     if not edges:
         return False
@@ -84,6 +86,6 @@ def is_k_nucleus(edges, k: int) -> bool:
         return False  # some edge is in no 4-clique
     if any(len(cs) < k for cs in tri_cliques.values()):
         return False
-    labels = union_find([clique_triangles(cl) for cl in cliques])
+    # a triangle in no clique is its own component, so it fails here too
+    labels = union_find([[t] for t in tri_cliques] + [clique_triangles(cl) for cl in cliques])
     return len(set(labels.values())) == 1
-

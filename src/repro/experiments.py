@@ -13,7 +13,7 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.datasets import ANALOGS, analog
-from repro.graph.edges import canonical_edges, degrees
+from repro.graph.edges import canonical_edges, degrees, oriented
 from repro.graph.triangles import triangles
 from repro.nucleus.global_ import g_decomposition
 from repro.nucleus.local import collect_structures, ell_nuclei, local_decomposition
@@ -40,7 +40,7 @@ def table1_stats(
             .count()
         )
         dmax = degrees(e).agg(F.max("deg")).collect()[0][0]
-        ntri = triangles(e).count()
+        ntri = triangles(oriented(e)).count()
         e.unpersist()
         rows.append(
             dict(graph=name, V=nv, E=stats.E, d_max=dmax, p_avg=stats.p_avg, triangles=ntri)
@@ -131,7 +131,7 @@ def table4_cohesiveness(
     rows = []
     for name in names:
         edge_pdf = canonical_edges(analog(spark, name, sf=sf)).toPandas()
-        edge_df = spark.createDataFrame(edge_pdf).cache()
+        edge_df = spark.createDataFrame(edge_pdf)
         for theta in thetas:
             t0 = time.perf_counter()
             d = local_decomposition(spark, edge_df, theta, scorer="dp")
@@ -156,7 +156,6 @@ def table4_cohesiveness(
                     time_N=round(t_n, 2), time_T=round(t_t, 2), time_C=round(t_c, 2),
                 )
             )
-        edge_df.unpersist()
     return pd.DataFrame(rows)
 
 
@@ -175,7 +174,7 @@ def table5_sample_size(
 ) -> pd.DataFrame:
     """Table 5: FG/WG average PD, PCC, |E|, |V| (over all nuclei, all k) as
     the Monte-Carlo sample count n grows — stability of the estimates."""
-    edge_df = analog(spark, name, sf=sf).cache()
+    edge_df = analog(spark, name, sf=sf)
     d = local_decomposition(spark, edge_df, theta, scorer="dp")
     rows = []
     for n, eps, delta in sizes:
@@ -189,7 +188,6 @@ def table5_sample_size(
             out[f"{label}_E"] = round(s["E"], 5)
             out[f"{label}_V"] = round(s["V"], 5)
         rows.append(out)
-    edge_df.unpersist()
     df = pd.DataFrame(rows)
     num = df.drop(columns=["eps", "delta"])
     summary = pd.DataFrame(
@@ -251,7 +249,7 @@ def decomposition_timings(
     """
     rows = []
     for name in names:
-        edge_df = analog(spark, name, sf=sf).cache()
+        edge_df = analog(spark, name, sf=sf)
         t0 = time.perf_counter()
         d = local_decomposition(spark, edge_df, theta, scorer="dp")
         t_l = time.perf_counter() - t0
@@ -261,7 +259,6 @@ def decomposition_timings(
         t0 = time.perf_counter()
         w_decomposition(spark, d, n=n, seed=seed)
         t_wg = t_l + (time.perf_counter() - t0)
-        edge_df.unpersist()
         rows.append(
             dict(graph=name, L_s=round(t_l, 2), FG_s=round(t_fg, 2), WG_s=round(t_wg, 2))
         )

@@ -1,43 +1,34 @@
-"""Distributed 4-clique enumeration and the triangle↔clique incidence table.
+"""Distributed 4-clique enumeration.
 
-A 4-clique {a,b,c,d} with orientation ranks r_a<r_b<r_c<r_d is found exactly
-once by extending its lowest triangle (a,b,c) with the apex d through three
-oriented-edge joins (a→d, b→d, c→d). The incidence table materializes, for
-each of the clique's four triangles, the *extension probability*
-Pr(E_i) — the product of the three edge probabilities connecting the fourth
-vertex to that triangle (paper §5.1). This is the quantity the Poisson-
-binomial support machinery consumes.
+A 4-clique {a,b,c,d} in (degree, id) order a<b<c<d is found exactly once by
+extending its lowest triangle (a,b,c) with the apex d through three
+oriented-edge joins (a→d, b→d, c→d). The triangle↔clique incidence with the
+extension probabilities Pr(E_i) is built on the driver from the collected
+cliques (:func:`repro.nucleus.local.collect_structures`).
 """
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.edges import canonical_edges, oriented, vertex_ranks
-from repro.graph.triangles import tid_col, triangles
 
+def four_cliques(d: DataFrame, tri_df: DataFrame) -> DataFrame:
+    """Enumerate 4-cliques from an oriented edge DataFrame ``d``
+    (:func:`repro.graph.edges.oriented`) and its triangles ``tri_df``
+    (:func:`repro.graph.triangles.triangles` of the same ``d``).
 
-def four_cliques(edge_df: DataFrame, tri_df: DataFrame | None = None) -> DataFrame:
-    """Enumerate 4-cliques of a (u, v, p) edge DataFrame.
-
-    Returns columns: cid, x, y, z, w (vertex ids in rank order) and the six
-    edge probabilities p_xy, p_xz, p_yz, p_xw, p_yw, p_zw.
+    Returns columns: x, y, z, w (vertex ids in (degree, id) order) and the
+    six edge probabilities p_xy, p_xz, p_yz, p_xw, p_yw, p_zw.
     """
-    edges = canonical_edges(edge_df)
-    ranks = vertex_ranks(edges)
-    d = oriented(edges, ranks)
-    t = tri_df if tri_df is not None else triangles(edge_df)
-
     ext = lambda a: d.select(  # noqa: E731 — oriented edge a→w with its prob
         F.col("src").alias(a),
         F.col("dst").alias("w"),
         F.col("p").alias(f"p_{a}w"),
     )
     c = (
-        t.join(ext("x"), "x")
+        tri_df.join(ext("x"), "x")
         .join(ext("y"), ["y", "w"])
         .join(ext("z"), ["z", "w"])
     )
     return c.select(
-        F.concat_ws("-", "x", "y", "z", "w").alias("cid"),
         "x",
         "y",
         "z",
@@ -49,28 +40,3 @@ def four_cliques(edge_df: DataFrame, tri_df: DataFrame | None = None) -> DataFra
         "p_yw",
         "p_zw",
     )
-
-
-def incidence(clique_df: DataFrame) -> DataFrame:
-    """Triangle↔4-clique incidence: (cid, tid, ext_prob), 4 rows per clique.
-
-    For clique (x,y,z,w) in rank order, every 3-subset is itself in rank
-    order, so the tid keys match :func:`repro.graph.triangles.triangles`.
-    ext_prob is the product of the probabilities of the three edges joining
-    the left-out vertex to the triangle.
-    """
-    c = clique_df
-    rows = [
-        (tid_col("x", "y", "z"), F.col("p_xw") * F.col("p_yw") * F.col("p_zw")),
-        (tid_col("x", "y", "w"), F.col("p_xz") * F.col("p_yz") * F.col("p_zw")),
-        (tid_col("x", "z", "w"), F.col("p_xy") * F.col("p_yz") * F.col("p_yw")),
-        (tid_col("y", "z", "w"), F.col("p_xy") * F.col("p_xz") * F.col("p_xw")),
-    ]
-    parts = [
-        c.select(F.col("cid"), tid.alias("tid"), ext.cast("double").alias("ext_prob"))
-        for tid, ext in rows
-    ]
-    out = parts[0]
-    for p_ in parts[1:]:
-        out = out.unionAll(p_)
-    return out

@@ -8,26 +8,44 @@ Triangle / 4-clique enumeration uses the standard degree orientation: each
 undirected edge is directed from the endpoint of smaller (degree, id) to the
 larger. Orienting by a total order bounded by degeneracy keeps the wedge join
 output near-linear in practice (a hub of degree d contributes O(d^2) wedges
-undirected but only pairs among its *higher-ranked* neighbours when oriented).
+undirected but only pairs among its *higher-ordered* neighbours when
+oriented). The order is compared pairwise, as ``(deg, id)`` structs, so no
+global sort or rank numbering is needed.
 """
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
 
 def canonical_edges(df: DataFrame) -> DataFrame:
-    """Normalize an edge DataFrame with columns (u, v, p) to canonical form."""
-    e = (
+    """Normalize an edge DataFrame with columns (u, v, p) to canonical form.
+
+    Self-loops are dropped and duplicate edges keep their largest p. A p
+    that is null, NaN, ≤ 0 or > 1 fails the job that reads the edges, with
+    the offending edge in the message.
+    """
+    p = F.col("p").cast("double")
+    bad = p.isNull() | F.isnan(p) | (p <= 0) | (p > 1)
+    checked = F.when(
+        bad,
+        F.raise_error(
+            F.format_string(
+                "edge (%s, %s) has probability %s; p must be in (0, 1]",
+                F.col("u").cast("string"),
+                F.col("v").cast("string"),
+                p.cast("string"),
+            )
+        ),
+    ).otherwise(p)
+    return (
         df.select(
             F.least("u", "v").alias("u"),
             F.greatest("u", "v").alias("v"),
-            F.col("p").cast("double").alias("p"),
+            checked.alias("p"),
         )
         .filter(F.col("u") != F.col("v"))
         .groupBy("u", "v")
         .agg(F.max("p").alias("p"))
     )
-    return e
 
 
 def degrees(edges: DataFrame) -> DataFrame:
@@ -38,28 +56,20 @@ def degrees(edges: DataFrame) -> DataFrame:
     return ends.groupBy("vid").agg(F.count("*").alias("deg"))
 
 
-def vertex_ranks(edges: DataFrame) -> DataFrame:
-    """Dense total-order rank (vid, rank) by (degree, id), rank 0..n-1.
-
-    The rank is the orientation order: edges point from low to high rank.
-    """
-    w = Window.orderBy("deg", "vid")
-    return degrees(edges).select(
-        "vid", (F.row_number().over(w) - F.lit(1)).alias("rank")
-    )
-
-
-def oriented(edges: DataFrame, ranks: DataFrame) -> DataFrame:
-    """Directed edges (src, dst, p, rs, rd) with rank(src) < rank(dst)."""
-    e = (
-        edges.join(ranks.withColumnRenamed("vid", "u").withColumnRenamed("rank", "ru"), "u")
-        .join(ranks.withColumnRenamed("vid", "v").withColumnRenamed("rank", "rv"), "v")
-    )
-    fwd = F.col("ru") < F.col("rv")
+def oriented(edge_df: DataFrame) -> DataFrame:
+    """Directed edges (src, dst, p, dd) of a (u, v, p) edge DataFrame: each
+    canonical edge once, from the endpoint of smaller (degree, id) to the
+    larger, with the degree dd of dst (the triangle wedge filter orders two
+    out-neighbours by it)."""
+    edges = canonical_edges(edge_df)
+    deg = degrees(edges)
+    e = edges.join(
+        deg.select(F.col("vid").alias("u"), F.col("deg").alias("du")), "u"
+    ).join(deg.select(F.col("vid").alias("v"), F.col("deg").alias("dv")), "v")
+    fwd = F.struct("du", "u") < F.struct("dv", "v")
     return e.select(
         F.when(fwd, F.col("u")).otherwise(F.col("v")).alias("src"),
         F.when(fwd, F.col("v")).otherwise(F.col("u")).alias("dst"),
         "p",
-        F.when(fwd, F.col("ru")).otherwise(F.col("rv")).alias("rs"),
-        F.when(fwd, F.col("rv")).otherwise(F.col("ru")).alias("rd"),
+        F.when(fwd, F.col("dv")).otherwise(F.col("du")).alias("dd"),
     )

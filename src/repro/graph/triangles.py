@@ -1,53 +1,35 @@
-"""Distributed triangle enumeration over a probabilistic edge DataFrame.
+"""Distributed triangle enumeration over oriented probabilistic edges.
 
-Each triangle is produced exactly once as (x, y, z) in orientation-rank order
-(rank(x) < rank(y) < rank(z)): the wedge join pairs two out-edges of the
-lowest-ranked vertex x, and the closing join checks the oriented edge y→z.
-The row carries the three edge probabilities, the triangle existence
-probability Pr(△) = p_xy · p_xz · p_yz, and a canonical string key ``tid``.
+Each triangle is produced exactly once as (x, y, z) in (degree, id) order:
+the wedge join pairs two out-edges of the lowest vertex x, and the closing
+join checks the oriented edge y→z. The row carries the three edge
+probabilities and the triangle existence probability
+Pr(△) = p_xy · p_xz · p_yz.
 """
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.edges import canonical_edges, oriented, vertex_ranks
 
+def triangles(d: DataFrame) -> DataFrame:
+    """Enumerate the triangles of an oriented edge DataFrame
+    (:func:`repro.graph.edges.oriented`).
 
-def tid_col(a, b, c):
-    """Canonical triangle key: the three vertex ids sorted numerically.
-
-    Columns arrive in orientation-rank order, which is *not* id order, so
-    the key sorts ids first — python-side kernels (Monte-Carlo indicators,
-    brute-force oracles) can then rebuild the identical key from a sorted
-    vertex tuple.
-    """
-    return F.concat_ws(
-        "-", F.array_sort(F.array(F.col(a), F.col(b), F.col(c))).cast("array<string>")
-    )
-
-
-def triangles(edge_df: DataFrame) -> DataFrame:
-    """Enumerate triangles of a (u, v, p) edge DataFrame.
-
-    Returns columns: tid, x, y, z (vertex ids in rank order),
+    Returns columns: x, y, z (vertex ids in (degree, id) order),
     p_xy, p_xz, p_yz, p_tri.
     """
-    edges = canonical_edges(edge_df)
-    ranks = vertex_ranks(edges)
-    d = oriented(edges, ranks)
-
     e1 = d.select(
         F.col("src").alias("x"),
         F.col("dst").alias("y"),
         F.col("p").alias("p_xy"),
-        F.col("rd").alias("ry"),
+        F.col("dd").alias("dy"),
     )
     e2 = d.select(
         F.col("src").alias("x"),
         F.col("dst").alias("z"),
         F.col("p").alias("p_xz"),
-        F.col("rd").alias("rz"),
+        F.col("dd").alias("dz"),
     )
-    wedges = e1.join(e2, "x").filter(F.col("ry") < F.col("rz"))
+    wedges = e1.join(e2, "x").filter(F.struct("dy", "y") < F.struct("dz", "z"))
     closing = d.select(
         F.col("src").alias("y"),
         F.col("dst").alias("z"),
@@ -55,7 +37,6 @@ def triangles(edge_df: DataFrame) -> DataFrame:
     )
     t = wedges.join(closing, ["y", "z"])
     return t.select(
-        tid_col("x", "y", "z").alias("tid"),
         "x",
         "y",
         "z",

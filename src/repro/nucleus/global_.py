@@ -10,8 +10,9 @@ the fraction of sampled worlds that are *deterministic k-nuclei* containing
 Monte-Carlo fan-out runs on Spark: one row per (candidate, sample), the
 per-world deterministic k-nucleus check (`repro.det.nucleus.is_k_nucleus`)
 runs inside a mapInPandas kernel against broadcast candidate edge lists, and
-per-triangle indicator counts come back through a groupBy. Sampling is
-deterministic in (seed, candidate, sample) — see `repro.prob.sampler`.
+per-triangle indicator counts come back through a groupBy. Worlds are drawn
+by `repro.prob.sampler.world_mask` from the stream (seed, candidate,
+sample), so they do not depend on how Spark partitions the samples.
 """
 from collections import defaultdict
 
@@ -19,7 +20,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.det.adjacency import adj_sets, enumerate_triangles
+from repro.det.adjacency import adj_sets, enumerate_triangles, tid_of
 from repro.det.nucleus import is_k_nucleus, nucleus_numbers
 from repro.nucleus.local import (
     LocalDecomposition,
@@ -28,11 +29,7 @@ from repro.nucleus.local import (
     ell_nuclei,
     union_subgraph,
 )
-from repro.prob.sampler import hoeffding_samples
-
-
-def _tid(t: tuple) -> str:
-    return "-".join(str(v) for v in sorted(t))
+from repro.prob.sampler import hoeffding_samples, world_mask
 
 
 def mc_triangle_counts(
@@ -64,20 +61,19 @@ def mc_triangle_counts(
             for cid, sid in zip(pdf["cand"], pdf["sid"]):
                 rows = bc.value[cid]
                 ps = np.array([r[2] for r in rows])
-                rng = np.random.default_rng([seed, int(cid), int(sid)])
-                mask = rng.random(ps.size) < ps
+                mask = world_mask(ps, (seed, int(cid), int(sid)))
                 world = [(rows[i][0], rows[i][1]) for i in np.flatnonzero(mask)]
                 if mode == "g":
                     if is_k_nucleus(world, k):
                         for t in enumerate_triangles(adj_sets(world)):
                             out_c.append(cid)
-                            out_t.append(_tid(t))
+                            out_t.append(tid_of(t))
                 elif mode == "w":
                     nu_det = nucleus_numbers(world)
                     for t, v in nu_det.items():
                         if v >= k:
                             out_c.append(cid)
-                            out_t.append(_tid(t))
+                            out_t.append(tid_of(t))
                 else:
                     raise ValueError(mode)
             yield pd.DataFrame({"cand": out_c, "tid": out_t})
@@ -154,13 +150,13 @@ def g_nuclei(
     for cid, edges in cand_edges.items():
         tris = enumerate_triangles(adj_sets(edges))
         got = counts.get(cid, {})
-        if tris and all(got.get(_tid(t), 0) / n >= theta for t in tris):
+        if tris and all(got.get(tid_of(t), 0) / n >= theta for t in tris):
             accepted.append(
                 NucleusSubgraph(
                     k,
                     {v for e in edges for v in e},
                     dict(edges),
-                    {_tid(t) for t in tris},
+                    {tid_of(t) for t in tris},
                 )
             )
     # maximality: drop candidates strictly contained in another accepted one

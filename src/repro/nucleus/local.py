@@ -2,10 +2,11 @@
 
 Pipeline:
 
-1. **Enumeration (Spark, distributed)** — triangles, 4-cliques and the
-   triangle↔clique incidence with extension probabilities Pr(E_i)
-   (`repro.graph`), collected once into pandas frames by
-   :func:`collect_structures`. This is the memory- and shuffle-heavy part.
+1. **Enumeration (Spark, distributed)** — triangles and 4-cliques of one
+   oriented edge plan (`repro.graph`), collected once each into pandas
+   frames by :func:`collect_structures`, which then derives the
+   triangle↔clique incidence with extension probabilities Pr(E_i) on the
+   driver. This is the memory- and shuffle-heavy part.
 2. **Initial κ scoring** — for every triangle, κ = max k with
    Pr(△)·Pr[ζ ≥ k] ≥ θ, using either the exact Poisson-binomial DP
    (scorer="dp") or the paper's statistical approximations with DP fallback
@@ -34,9 +35,10 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.det.adjacency import canon
-from repro.graph.cliques import four_cliques, incidence
+from repro.det.adjacency import canon, tid_of
+from repro.graph.cliques import four_cliques
 from repro.graph.connectivity import components_of
+from repro.graph.edges import oriented
 from repro.graph.triangles import triangles
 from repro.prob.approx import kappa_ap
 from repro.prob.support import EPS, kappa_dp
@@ -87,14 +89,29 @@ def collect_structures(spark: SparkSession, edge_df: DataFrame):
     """Run the distributed enumeration once and collect the pandas frames
     (tri_pdf, clique_pdf, inc_pdf) — reusable across θ/scorer sweeps via
     ``local_decomposition(..., structures=...)`` so parameter sweeps time
-    only scoring + peeling, not a re-enumeration of the same graph."""
-    tri_df = triangles(edge_df)
-    clique_df = four_cliques(edge_df, tri_df)
-    return (
-        tri_df.select("tid", "x", "y", "z", "p_tri").toPandas(),
-        clique_df.toPandas(),
-        incidence(clique_df).toPandas(),
+    only scoring + peeling, not a re-enumeration of the same graph.
+
+    Triangles and cliques are the two Spark collects; both frames are sorted
+    by their vertex columns, so row order (and the FG/WG candidate numbering
+    built on it) does not depend on Spark's partitioning. ``cid`` is the
+    clique's row number."""
+    d = oriented(edge_df)
+    tri_df = triangles(d)
+    tri_pdf = (
+        tri_df.select("x", "y", "z", "p_tri")
+        .toPandas()
+        .sort_values(["x", "y", "z"], ignore_index=True)
     )
+    tri_pdf.insert(
+        0,
+        "tid",
+        [tid_of(t) for t in zip(tri_pdf.x.tolist(), tri_pdf.y.tolist(), tri_pdf.z.tolist())],
+    )
+    clique_pdf = (
+        four_cliques(d, tri_df).toPandas().sort_values(list("xyzw"), ignore_index=True)
+    )
+    clique_pdf.insert(0, "cid", np.arange(len(clique_pdf), dtype=np.int64))
+    return tri_pdf, clique_pdf, _incidence(tri_pdf, clique_pdf)
 
 
 _CLIQUE_EDGE_COLS = [
@@ -106,14 +123,34 @@ _CLIQUE_EDGE_COLS = [
     ("z", "w", "p_zw"),
 ]
 
+#: the four triangles of a clique row; each is in (degree, id) order, like
+#: the (x, y, z) columns of ``tri_pdf``
+_CLIQUE_TRIANGLES = (("x", "y", "z"), ("x", "y", "w"), ("x", "z", "w"), ("y", "z", "w"))
+
+
+def _incidence(tri_pdf: pd.DataFrame, clique_pdf: pd.DataFrame) -> pd.DataFrame:
+    """Triangle↔4-clique incidence (cid, tid, ext_prob), four rows per
+    clique: ext_prob = Pr(E_i) is the product of the probabilities of the
+    three edges joining the left-out vertex to the triangle (paper §5.1).
+    The tids are looked up in ``tri_pdf``, so every row shares its
+    triangle's key."""
+    p = {frozenset((a, b)): clique_pdf[col].to_numpy() for a, b, col in _CLIQUE_EDGE_COLS}
+    rows = pd.MultiIndex.from_frame(tri_pdf[["x", "y", "z"]])
+    tids = tri_pdf.tid.to_numpy()
+    cid = clique_pdf.cid.to_numpy()
+    parts = []
+    for tri in _CLIQUE_TRIANGLES:
+        (out,) = set("xyzw") - set(tri)
+        a, b, c = (p[frozenset((v, out))] for v in tri)
+        pos = rows.get_indexer(pd.MultiIndex.from_arrays([clique_pdf[v] for v in tri]))
+        parts.append(pd.DataFrame({"cid": cid, "tid": tids[pos], "ext_prob": a * b * c}))
+    return pd.concat(parts, ignore_index=True)
+
 
 def _clique_tids(row) -> list[str]:
-    """The four canonical (id-sorted) triangle keys of a clique row."""
+    """The four canonical triangle keys of a clique row."""
     x, y, z, w = row.x, row.y, row.z, row.w
-    return [
-        "-".join(map(str, sorted(t)))
-        for t in ((x, y, z), (x, y, w), (x, z, w), (y, z, w))
-    ]
+    return [tid_of(t) for t in ((x, y, z), (x, y, w), (x, z, w), (y, z, w))]
 
 
 def local_decomposition(

@@ -1,10 +1,11 @@
 """Deterministic possible-world sampler (paper §6, Monte-Carlo estimation).
 
 A possible world keeps edge e independently with probability p_e. Sampling is
-deterministic in (seed, sample_id): each world uses a fresh
-``default_rng([seed, sample_id])`` stream, so Spark fan-out over sample ids
-reproduces the same worlds regardless of partitioning, and repeated runs are
-identical (matching the paper's fixed-sample-count methodology).
+deterministic in its stream key: FG and WG key each world by
+(seed, candidate, sample) and draw it from ``default_rng(key)``, so Spark
+fan-out over samples reproduces the same worlds regardless of partitioning,
+and repeated runs are identical (matching the paper's fixed-sample-count
+methodology).
 """
 import math
 
@@ -16,12 +17,8 @@ def hoeffding_samples(eps: float, delta: float) -> int:
     return int(math.ceil(math.log(2.0 / delta) / (2.0 * eps * eps)))
 
 
-def world_mask(p: np.ndarray, sample_id: int, seed: int = 0) -> np.ndarray:
-    """Boolean keep-mask over edges for one sampled world."""
-    rng = np.random.default_rng([seed, sample_id])
+def world_mask(p: np.ndarray, key) -> np.ndarray:
+    """Boolean keep-mask over edges for the world of stream ``key`` (a
+    sequence of non-negative ints, e.g. (seed, candidate, sample))."""
+    rng = np.random.default_rng(key)
     return rng.random(p.size) < p
-
-
-def sample_worlds(p: np.ndarray, n: int, seed: int = 0) -> np.ndarray:
-    """(n × m) boolean matrix of n sampled worlds over m edges."""
-    return np.stack([world_mask(p, s, seed) for s in range(n)]) if n else np.zeros((0, p.size), bool)

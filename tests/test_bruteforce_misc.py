@@ -6,8 +6,9 @@ import pandas as pd
 import pytest
 
 from helpers import complete_graph, edges_list
-from repro.bruteforce import local_nu_reference, tail_probability
-from repro.det.adjacency import adj_sets, canon, clique_triangles
+from repro.bruteforce import is_k_nucleus_def3, local_nu_reference, tail_probability
+from repro.det.adjacency import adj_sets, canon, clique_triangles, tid_of
+from repro.det.nucleus import is_k_nucleus
 from repro.experiments import _nu_errors
 from repro.nucleus.local import NucleusSubgraph
 from repro.prob.support import pb_tail
@@ -96,6 +97,31 @@ def test_reference_triangle_no_clique():
 
 def test_canon_orders():
     assert canon(5, 2) == (2, 5) and canon(2, 5) == (2, 5)
+
+
+def test_tid_of_sorts_ids_numerically():
+    assert tid_of((10, 9, 100)) == "9-10-100"
+    assert tid_of(np.array([3, 1, 2])) == "1-2-3"
+
+
+# --- g-indicator: det.nucleus.is_k_nucleus vs Definition 3 -----------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_is_k_nucleus_matches_definition3_on_clique_unions(seed):
+    """Random unions of ten 4-cliques on 11 vertices, judged the same by
+    both implementations. Such unions are dense enough that their edges
+    sometimes close a triangle lying in no 4-clique (seeds 0 and 1 draw
+    some), which Definition 3 rejects."""
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        edges = {
+            e
+            for _ in range(10)
+            for e in combinations(sorted(rng.choice(11, size=4, replace=False).tolist()), 2)
+        }
+        for k in range(4):
+            assert is_k_nucleus(edges, k) == is_k_nucleus_def3(edges, k), (sorted(edges), k)
 
 
 def test_clique_triangles_count():

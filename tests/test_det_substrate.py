@@ -111,6 +111,19 @@ def test_is_k_nucleus_empty():
     assert not is_k_nucleus([], 0)
 
 
+def test_is_k_nucleus_rejects_triangle_in_no_clique():
+    """A union of 4-cliques whose edges close triangle (1,5,6), which lies
+    in no 4-clique: its support is 0 < k, so G is no 1-nucleus."""
+    edges = [
+        (0, 1), (0, 5), (0, 7), (0, 8), (0, 9), (0, 10), (1, 3), (1, 4), (1, 5), (1, 6),
+        (1, 8), (1, 9), (1, 10), (2, 3), (2, 5), (2, 6), (2, 7), (2, 9), (2, 10), (3, 4),
+        (3, 7), (3, 8), (3, 9), (3, 10), (4, 6), (4, 8), (4, 9), (4, 10), (5, 6), (5, 7),
+        (5, 8), (6, 7), (6, 10), (7, 8), (7, 9), (7, 10), (8, 9), (9, 10),
+    ]
+    assert nucleus_numbers(edges)[(1, 5, 6)] == 0
+    assert not is_k_nucleus(edges, 1)
+
+
 def test_nucleus_k4_with_pendant_edge():
     """ν ≥ k ⟺ the triangle lies in a k-nucleus (the 1_w indicator)."""
     nu = nucleus_numbers(kn(4) + [(3, 4)])

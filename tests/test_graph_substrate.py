@@ -1,19 +1,34 @@
 """Spark graph substrate vs the DuckDB oracle: canonical edges, degrees,
-triangle and 4-clique enumeration, incidence."""
+orientation, triangle and 4-clique enumeration, and the driver-built
+incidence of ``collect_structures``."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from helpers import CLIQUE_SQL, TRIANGLE_SQL, complete_graph, random_prob_graph
 from repro.datasets import analog_pdf
-from repro.graph.cliques import four_cliques, incidence
-from repro.graph.edges import canonical_edges, degrees, oriented, vertex_ranks
+from repro.graph.cliques import four_cliques
+from repro.graph.edges import canonical_edges, degrees, oriented
 from repro.graph.triangles import triangles
+from repro.nucleus.local import collect_structures
 from repro.oracle import assert_equivalent
 
 
 def spark_edges(spark, pdf):
     return spark.createDataFrame(pdf)
+
+
+def tris_of(spark, pdf):
+    return triangles(oriented(spark_edges(spark, pdf)))
+
+
+def cliques_of(spark, pdf):
+    d = oriented(spark_edges(spark, pdf))
+    return four_cliques(d, triangles(d))
+
+
+def incidence_of(spark, pdf):
+    return collect_structures(spark, spark_edges(spark, pdf))[2]
 
 
 def sorted_triangles(tri_df):
@@ -47,18 +62,30 @@ def test_degrees_vs_duckdb(spark):
     )
 
 
-def test_ranks_are_permutation(spark):
-    pdf = random_prob_graph(25, 0.3, seed=2)
-    r = vertex_ranks(canonical_edges(spark_edges(spark, pdf))).toPandas()
-    assert sorted(r["rank"]) == list(range(len(r)))
+@pytest.mark.parametrize("bad", [None, float("nan"), 0.0, -0.5, 1.5])
+def test_canonical_rejects_bad_probability(spark, bad):
+    raw = spark.createDataFrame([(0, 1, 0.5), (1, 2, bad), (0, 2, 1.0)], "u long, v long, p double")
+    with pytest.raises(Exception, match=r"edge \(1, 2\) has probability .*p must be in \(0, 1\]"):
+        canonical_edges(raw).collect()
 
 
-def test_oriented_preserves_edges_and_orients_by_rank(spark):
+def test_oriented_preserves_edges_and_orients_by_degree_then_id(spark):
     pdf = random_prob_graph(25, 0.3, seed=3)
-    e = canonical_edges(spark_edges(spark, pdf))
-    d = oriented(e, vertex_ranks(e))
-    assert d.count() == e.count()
-    assert d.filter(F.col("rs") >= F.col("rd")).count() == 0
+    d = oriented(spark_edges(spark, pdf)).toPandas()
+    deg = pd.concat([pdf.u, pdf.v]).value_counts()
+    assert sorted(zip(d[["src", "dst"]].min(axis=1), d[["src", "dst"]].max(axis=1))) == sorted(
+        zip(pdf.u, pdf.v)
+    )
+    assert (d.dd == deg[d.dst].to_numpy()).all()
+    assert all((deg[s], s) < (deg[t], t) for s, t in zip(d.src, d.dst))
+
+
+def test_enumeration_plan_has_no_window(spark):
+    """Orientation compares (degree, id) pairs; no global rank window."""
+    pdf = random_prob_graph(20, 0.4, seed=1)
+    for df in (tris_of(spark, pdf), cliques_of(spark, pdf)):
+        plan = df._jdf.queryExecution().executedPlan().toString()
+        assert "Window" not in plan
 
 
 # --- triangles vs DuckDB ----------------------------------------------------
@@ -67,14 +94,14 @@ def test_oriented_preserves_edges_and_orients_by_rank(spark):
 @pytest.mark.parametrize("seed,n,ps", [(1, 20, 0.4), (2, 30, 0.3), (3, 40, 0.2), (4, 15, 0.7)])
 def test_triangles_match_duckdb(spark, seed, n, ps):
     pdf = random_prob_graph(n, ps, seed=seed)
-    t = sorted_triangles(triangles(spark_edges(spark, pdf)))
+    t = sorted_triangles(tris_of(spark, pdf))
     assert_equivalent(t, TRIANGLE_SQL, e=pdf)
 
 
 def test_oracle_detects_mismatch(spark):
     """The oracle rejects a triangle table with one row missing."""
     pdf = random_prob_graph(20, 0.4, seed=1)
-    t = sorted_triangles(triangles(spark_edges(spark, pdf)))
+    t = sorted_triangles(tris_of(spark, pdf))
     wrong = t.exceptAll(t.orderBy("a", "b", "c").limit(1))
     assert wrong.count() == t.count() - 1
     with pytest.raises(AssertionError):
@@ -82,18 +109,18 @@ def test_oracle_detects_mismatch(spark):
 
 
 def test_triangles_k6_count(spark):
-    assert triangles(spark_edges(spark, complete_graph(6, 0.5))).count() == 20
+    assert tris_of(spark, complete_graph(6, 0.5)).count() == 20
 
 
 def test_triangles_on_analog_matches_duckdb(spark):
     pdf = analog_pdf("krogan", sf=0.05)
-    t = sorted_triangles(triangles(spark_edges(spark, pdf)))
+    t = sorted_triangles(tris_of(spark, pdf))
     assert_equivalent(t, TRIANGLE_SQL, e=pdf)
 
 
 def test_triangle_p_tri_is_product(spark):
     pdf = pd.DataFrame([(0, 1, 0.5), (0, 2, 0.4), (1, 2, 0.3)], columns=["u", "v", "p"])
-    t = triangles(spark_edges(spark, pdf)).collect()
+    t = tris_of(spark, pdf).collect()
     assert len(t) == 1
     assert t[0].p_tri == pytest.approx(0.5 * 0.4 * 0.3)
 
@@ -104,7 +131,7 @@ def test_triangle_p_tri_is_product(spark):
 @pytest.mark.parametrize("seed,n,ps", [(5, 15, 0.6), (6, 20, 0.5), (7, 25, 0.4)])
 def test_cliques_match_duckdb(spark, seed, n, ps):
     pdf = random_prob_graph(n, ps, seed=seed)
-    c = four_cliques(spark_edges(spark, pdf)).select(
+    c = cliques_of(spark, pdf).select(
         F.sort_array(F.array("x", "y", "z", "w")).getItem(0).alias("a"),
         F.sort_array(F.array("x", "y", "z", "w")).getItem(1).alias("b"),
         F.sort_array(F.array("x", "y", "z", "w")).getItem(2).alias("c"),
@@ -114,7 +141,7 @@ def test_cliques_match_duckdb(spark, seed, n, ps):
 
 
 def test_cliques_k6_count(spark):
-    assert four_cliques(spark_edges(spark, complete_graph(6, 0.5))).count() == 15
+    assert cliques_of(spark, complete_graph(6, 0.5)).count() == 15
 
 
 def test_clique_probs_cover_all_six_edges(spark):
@@ -122,23 +149,21 @@ def test_clique_probs_cover_all_six_edges(spark):
         [(0, 1, 0.11), (0, 2, 0.13), (0, 3, 0.17), (1, 2, 0.19), (1, 3, 0.23), (2, 3, 0.29)],
         columns=["u", "v", "p"],
     )
-    rows = four_cliques(spark_edges(spark, pdf)).collect()
+    rows = cliques_of(spark, pdf).collect()
     assert len(rows) == 1
     r = rows[0]
     got = sorted([r.p_xy, r.p_xz, r.p_yz, r.p_xw, r.p_yw, r.p_zw])
     assert got == pytest.approx(sorted(pdf.p))
 
 
-# --- incidence --------------------------------------------------------------
+# --- incidence (driver-built by collect_structures) -------------------------
 
 
 def test_incidence_four_rows_per_clique(spark):
-    pdf = complete_graph(6, 0.5)
-    c = four_cliques(spark_edges(spark, pdf))
-    inc = incidence(c)
-    assert inc.count() == 4 * c.count()
-    per = inc.groupBy("cid").count().toPandas()
-    assert set(per["count"]) == {4}
+    _, cliques, inc = collect_structures(spark, spark_edges(spark, complete_graph(6, 0.5)))
+    assert len(cliques) == 15
+    assert len(inc) == 4 * len(cliques)
+    assert set(inc.groupby("cid").size()) == {4}
 
 
 def test_incidence_ext_prob_k4(spark):
@@ -149,22 +174,21 @@ def test_incidence_ext_prob_k4(spark):
         columns=["u", "v", "p"],
     )
     p = {(u, v): pr for u, v, pr in pdf.itertuples(index=False)}
-    inc = incidence(four_cliques(spark_edges(spark, pdf))).collect()
+    inc = incidence_of(spark, pdf)
     expect = {}
     for tri, out in [((0, 1, 2), 3), ((0, 1, 3), 2), ((0, 2, 3), 1), ((1, 2, 3), 0)]:
         key = "-".join(map(str, tri))
         expect[key] = 1.0
         for x in tri:
             expect[key] *= p[tuple(sorted((x, out)))]
-    got = {r.tid: r.ext_prob for r in inc}
+    got = dict(zip(inc.tid, inc.ext_prob))
     assert got == pytest.approx(expect)
 
 
 def test_triangle_support_counts_match_duckdb(spark):
     """#cliques per triangle (the c_△ of the paper) vs a DuckDB aggregate."""
     pdf = random_prob_graph(18, 0.6, seed=9)
-    inc = incidence(four_cliques(spark_edges(spark, pdf)))
-    sup = inc.groupBy("tid").agg(F.count("*").alias("c"))
+    sup = incidence_of(spark, pdf).groupby("tid").size().reset_index(name="c")
     sql = f"""
     WITH c4 AS ({CLIQUE_SQL})
     , inc AS (
@@ -175,4 +199,4 @@ def test_triangle_support_counts_match_duckdb(spark):
     )
     SELECT tid, count(*)::BIGINT AS c FROM inc GROUP BY tid
     """
-    assert_equivalent(sup, sql, e=pdf)
+    assert_equivalent(spark.createDataFrame(sup), sql, e=pdf)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.graph.connectivity import components_of, union_find
-from repro.prob.sampler import hoeffding_samples, sample_worlds, world_mask
+from repro.prob.sampler import hoeffding_samples, world_mask
 
 
 # --- sampler ----------------------------------------------------------------
@@ -16,27 +16,28 @@ def test_hoeffding_paper_values():
 
 def test_world_mask_deterministic():
     p = np.array([0.2, 0.5, 0.9])
-    a = world_mask(p, 7, seed=3)
-    b = world_mask(p, 7, seed=3)
+    a = world_mask(p, (3, 7))
+    b = world_mask(p, (3, 7))
     assert (a == b).all()
 
 
 def test_world_mask_varies_with_sample_and_seed():
     p = np.full(64, 0.5)
-    assert not (world_mask(p, 0, 0) == world_mask(p, 1, 0)).all()
-    assert not (world_mask(p, 0, 0) == world_mask(p, 0, 1)).all()
+    assert not (world_mask(p, (0, 0, 0)) == world_mask(p, (0, 0, 1))).all()
+    assert not (world_mask(p, (0, 0, 0)) == world_mask(p, (0, 1, 0))).all()
+    assert not (world_mask(p, (0, 0, 0)) == world_mask(p, (1, 0, 0))).all()
 
 
 def test_edge_frequencies_match_probabilities():
     p = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-    worlds = sample_worlds(p, 4000, seed=5)
+    worlds = np.stack([world_mask(p, (5, s)) for s in range(4000)])
     freq = worlds.mean(axis=0)
     assert np.abs(freq - p).max() < 0.03
 
 
 def test_certain_and_impossible_edges():
     p = np.array([0.0, 1.0])
-    worlds = sample_worlds(p, 50, seed=1)
+    worlds = np.stack([world_mask(p, (1, s)) for s in range(50)])
     assert not worlds[:, 0].any()
     assert worlds[:, 1].all()
 
