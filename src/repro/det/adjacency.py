@@ -1,8 +1,10 @@
 """Small-graph adjacency utilities (pure python).
 
-These run inside per-sample kernels (one call per sampled possible world in
-FG/WG) and on extracted nuclei, where graphs have at most a few thousand
-edges — a dict-of-sets representation beats any dataframe at that size.
+These run on FG/WG candidates (once per candidate, to index its triangles
+and 4-cliques), on single sampled worlds in the per-world reference
+`repro.det.nucleus`, and on extracted nuclei, where graphs have at most a
+few thousand edges — a dict-of-sets representation beats any dataframe at
+that size.
 Vertex ids are arbitrary hashable, edges are canonical (u, v) with u < v.
 """
 from collections import defaultdict
@@ -45,14 +47,15 @@ def enumerate_triangles(adj: dict) -> list[tuple]:
     return out
 
 
+def cliques_of(adj: dict, tris: list[tuple]) -> list[tuple]:
+    """The 4-cliques extending the given sorted triangles by a higher common
+    neighbour; over all of a graph's triangles, each 4-clique exactly once."""
+    return [(a, b, c, d) for a, b, c in tris for d in adj[a] & adj[b] & adj[c] if d > c]
+
+
 def enumerate_4cliques(adj: dict) -> list[tuple]:
     """All 4-cliques as sorted vertex 4-tuples (each exactly once)."""
-    out = []
-    for a, b, c in enumerate_triangles(adj):
-        for d in adj[a] & adj[b] & adj[c]:
-            if d > c:
-                out.append((a, b, c, d))
-    return out
+    return cliques_of(adj, enumerate_triangles(adj))
 
 
 def clique_triangles(clique: tuple) -> list[tuple]:

@@ -1,5 +1,7 @@
 """Deterministic (3,4)-nucleus decomposition (Sarıyüce et al.) and the
-k-nucleus membership predicates used by the FG/WG Monte-Carlo indicators.
+k-nucleus membership predicate, one world at a time: the scalar reference
+for the FG/WG Monte-Carlo indicators, which `repro.nucleus.global_`
+evaluates for all sampled worlds of a candidate at once.
 
 ``nucleus_numbers`` peels triangles by 4-clique support with a running-max
 level: ν(△) = max k such that △ belongs to a k-(3,4)-nucleus. Connectivity
@@ -17,6 +19,7 @@ from repro.det.adjacency import (
     adj_sets,
     canon,
     clique_triangles,
+    cliques_of,
     enumerate_triangles,
 )
 from repro.graph.connectivity import union_find
@@ -28,7 +31,7 @@ def _structures(edges):
     4-clique). Triangles are enumerated once and extended to the cliques."""
     adj = adj_sets(edges)
     tris = enumerate_triangles(adj)
-    cliques = [(a, b, c, d) for a, b, c in tris for d in adj[a] & adj[b] & adj[c] if d > c]
+    cliques = cliques_of(adj, tris)
     tri_cliques: dict = {t: set() for t in tris}
     for idx, cl in enumerate(cliques):
         for t in clique_triangles(cl):

@@ -2,13 +2,16 @@
 
 w-NuDecomp is NP-hard (Theorem 4.2); the paper's WG algorithm samples n
 possible worlds of each ℓ-(k,θ)-nucleus H, runs a *deterministic* nucleus
-decomposition on every world (substrate: `repro.det.nucleus`), and keeps the
+decomposition on every world (`repro.det.nucleus` is the per-world reference
+the tests hold the vectorised kernel to), and keeps the
 triangles whose fraction of worlds containing them inside a deterministic
 k-nucleus reaches θ. The output w-nuclei are the s-connected unions of the
 surviving triangles' 4-cliques.
 
-The per-world decompositions fan out over Spark via the shared
-`mc_triangle_counts` kernel (mode "w").
+The per-world decompositions run on the driver in the shared
+`mc_triangle_counts` kernel (mode "w"): for one local nucleus at a time, the
+level-k triangle peel runs to a fixpoint over all n sampled worlds at once.
+No Spark job runs here; the ``spark`` parameters are unused.
 """
 from pyspark.sql import SparkSession
 
@@ -32,7 +35,8 @@ def w_nuclei(
     n: int | None = None,
     seed: int = 0,
 ) -> list[NucleusSubgraph]:
-    """All w-(k,θ)-nuclei for one k (Algorithm 3)."""
+    """All w-(k,θ)-nuclei for one k (Algorithm 3). ``spark`` is unused:
+    extraction and the Monte-Carlo check run on the driver."""
     n = n if n is not None else max(200, hoeffding_samples(eps, delta))
     theta = decomp.theta
     locals_ = ell_nuclei(decomp, k)

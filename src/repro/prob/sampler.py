@@ -2,10 +2,11 @@
 
 A possible world keeps edge e independently with probability p_e. Sampling is
 deterministic in its stream key: FG and WG key each world by
-(seed, candidate, sample) and draw it from ``default_rng(key)``, so Spark
-fan-out over samples reproduces the same worlds regardless of partitioning,
+(seed, candidate, sample) and draw it from ``default_rng(key)``, so a world
+does not depend on the order or the batching in which worlds are evaluated,
 and repeated runs are identical (matching the paper's fixed-sample-count
-methodology).
+methodology). ``mc_triangle_counts`` stacks a candidate's n worlds into one
+(n × m) mask, one ``world_mask`` call per row.
 """
 import math
 
