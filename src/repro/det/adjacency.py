@@ -5,7 +5,9 @@ and 4-cliques), on single sampled worlds in the per-world reference
 `repro.det.nucleus`, and on extracted nuclei, where graphs have at most a
 few thousand edges — a dict-of-sets representation beats any dataframe at
 that size.
-Vertex ids are arbitrary hashable, edges are canonical (u, v) with u < v.
+Vertex ids are arbitrary hashable, edges are canonical (u, v) with u < v,
+triangles and 4-cliques are sorted vertex tuples. (The collected frames of
+`repro.nucleus.local` number triangles by tid instead.)
 """
 from collections import defaultdict
 from itertools import combinations
@@ -17,13 +19,6 @@ Edge = tuple[Hashable, Hashable]
 def canon(u, v) -> Edge:
     """Canonical (min, max) form of an undirected edge."""
     return (u, v) if u < v else (v, u)
-
-
-def tid_of(tri) -> str:
-    """Canonical triangle key ``"a-b-c"``: the three vertex ids sorted
-    numerically. The one place the key format is defined; the collected
-    frames, the extracted nuclei and the Monte-Carlo kernels all use it."""
-    return "-".join(map(str, sorted(tri)))
 
 
 def adj_sets(edges: Iterable[Edge]) -> dict:

@@ -48,13 +48,12 @@ def table1_stats(
     return pd.DataFrame(rows)
 
 
-def _nu_errors(dp_nu: dict, ap_nu: dict) -> tuple[float, float]:
-    """(avg |ν_AP − ν_DP|, % triangles with differing ν) — Table 2 metrics."""
-    keys = list(dp_nu)
-    if not keys:
+def _nu_errors(dp_nu: np.ndarray, ap_nu: np.ndarray) -> tuple[float, float]:
+    """(avg |ν_AP − ν_DP|, % triangles with differing ν) — Table 2 metrics,
+    over ν arrays indexed by tid."""
+    if not len(dp_nu):
         return 0.0, 0.0
-    diffs = np.array([abs(dp_nu[t] - ap_nu[t]) for t in keys], dtype=float)
-    return float(diffs.mean()), float((diffs > 0).mean() * 100.0)
+    return float(np.abs(ap_nu - dp_nu).mean()), float((ap_nu != dp_nu).mean() * 100.0)
 
 
 def table2_accuracy(

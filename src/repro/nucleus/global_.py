@@ -12,22 +12,19 @@ implementation: candidates have tens of edges, so one candidate at a time
 its n worlds are stacked into an (n × m) edge mask and the indicators are
 evaluated for all n worlds at once with numpy over the candidate's triangle
 and 4-clique index arrays. Worlds are drawn by
-`repro.prob.sampler.world_mask` from the stream (seed, candidate, sample).
-No Spark job runs here; the ``spark`` parameters of FG and WG are unused.
+`repro.prob.sampler.world_mask` from the stream (seed, candidate, sample);
+candidates are numbered in the order their seed triangles are visited, by
+tid. The kernel counts per sorted vertex triple of the candidate; FG and WG
+map those triples to the decomposition's tids with one lookup per
+candidate. No Spark job runs here; the ``spark`` parameters of FG and WG are
+unused.
 """
 from collections import defaultdict
 
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.det.adjacency import (
-    adj_sets,
-    canon,
-    clique_triangles,
-    cliques_of,
-    enumerate_triangles,
-    tid_of,
-)
+from repro.det.adjacency import adj_sets, canon, clique_triangles, cliques_of, enumerate_triangles
 from repro.nucleus.local import (
     LocalDecomposition,
     NucleusSubgraph,
@@ -142,12 +139,13 @@ def mc_triangle_counts(
     n: int,
     seed: int,
     mode: str,
-) -> dict[int, dict[str, int]]:
+) -> dict[int, dict[tuple, int]]:
     """For each candidate edge set, count over n sampled worlds how many
     worlds satisfy the μ-indicator for each triangle (Definition 4).
 
-    ``candidates`` maps id -> {(u,v): p}; the result maps id -> {tid: count}
-    over every triangle of the candidate, zeros included. mode "g": world
+    ``candidates`` maps id -> {(u,v): p}; the result maps id ->
+    {(a,b,c): count} over every triangle of the candidate, keyed by sorted
+    vertex triple, zeros included. mode "g": world
     must be a deterministic k-nucleus and contain the triangle. mode "w":
     the triangle's deterministic ν in the world must be ≥ k. World s of
     candidate c keeps the edges (sorted) of ``world_mask(p, (seed, c, s))``.
@@ -156,7 +154,7 @@ def mc_triangle_counts(
     kernel = {"g": _g_counts, "w": _w_counts}.get(mode)
     if kernel is None:
         raise ValueError(f"unknown mode {mode!r}")
-    out: dict[int, dict[str, int]] = {}
+    out: dict[int, dict[tuple, int]] = {}
     for cid, edges in candidates.items():
         keys = sorted(edges)
         cand = _Candidate(keys)
@@ -167,29 +165,33 @@ def mc_triangle_counts(
             step = cand.block_rows()
             for lo in range(0, n, step):
                 counts += kernel(cand, mask[lo : lo + step], k)
-        out[cid] = {tid_of(t): int(c) for t, c in zip(cand.tris, counts)}
+        out[cid] = dict(zip(cand.tris, counts.tolist()))
     return out
 
 
 def grow_candidates(decomp: LocalDecomposition, k: int) -> list[dict]:
     """Algorithm 2 lines 5–8: for every triangle of C_k, grow the closure of
     4-cliques until every triangle it brought in has ≥ k cliques inside,
-    then dedupe. Returns candidate edge dicts {(u,v): p}."""
+    then dedupe. Returns candidate edge dicts {(u,v): p}, numbered by the
+    first seed (nucleus by nucleus, tids ascending) that grows each."""
     nuclei = ell_nuclei(decomp, k)
     cands: dict[frozenset, dict] = {}
     for nucleus in nuclei:
-        # clique list of this component with member tids
-        cl_rows = cliques_within(decomp.clique_pdf, nucleus.tids)
-        tri_cliques: dict[str, list[int]] = defaultdict(list)
-        for idx, (_, tids) in enumerate(cl_rows):
+        # the cliques of this component and their four tids each
+        keep = np.zeros(len(decomp.nu), bool)
+        keep[list(nucleus.tids)] = True
+        cids = cliques_within(decomp, keep)
+        four = decomp.clique_tri[cids].tolist()
+        tri_cliques: dict[int, list[int]] = defaultdict(list)
+        for idx, tids in enumerate(four):
             for t in tids:
                 tri_cliques[t].append(idx)
         for seed_tid in sorted(nucleus.tids):
             chosen = set(tri_cliques[seed_tid])
             while True:
-                member_counts: dict[str, int] = defaultdict(int)
+                member_counts: dict[int, int] = defaultdict(int)
                 for ci in chosen:
-                    for t in cl_rows[ci][1]:
+                    for t in four[ci]:
                         member_counts[t] += 1
                 deficient = [t for t, c in member_counts.items() if c < k]
                 added = False
@@ -205,7 +207,7 @@ def grow_candidates(decomp: LocalDecomposition, k: int) -> list[dict]:
             key = frozenset((id(nucleus), ci) for ci in chosen)
             if key in cands:
                 continue
-            cands[key] = union_subgraph(k, (cl_rows[ci] for ci in chosen)).edges
+            cands[key] = union_subgraph(decomp, k, cids[sorted(chosen)]).edges
     return list(cands.values())
 
 
@@ -229,7 +231,8 @@ def g_nuclei(
     for cid, edges in cand_edges.items():
         got = counts[cid]
         if got and all(c / n >= theta for c in got.values()):
-            accepted.append(NucleusSubgraph(k, {v for e in edges for v in e}, dict(edges), set(got)))
+            tids = set(decomp.tids_of(list(got)).tolist())
+            accepted.append(NucleusSubgraph(k, {v for e in edges for v in e}, dict(edges), tids))
     return maximal(accepted)
 
 

@@ -22,6 +22,11 @@ Pipeline:
    cliques and build subgraphs through :func:`cliques_within`,
    :func:`union_subgraph` and :func:`connected_subgraphs`.
 
+A triangle's id (tid) is its row number in the sorted ``tri_pdf``, as a
+clique's cid is its row number in ``clique_pdf``; every layer after the
+collect indexes arrays by them. The (C × 4) array ``clique_tri`` holds the
+tids of each clique's four triangles.
+
 Triangles with Pr(△) < θ get ν = −1: no subgraph containing them can satisfy
 Definition 5 even at k = 0, so they join no nucleus and their cliques are
 dead from the start.
@@ -29,15 +34,13 @@ dead from the start.
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.det.adjacency import canon, tid_of
 from repro.graph.cliques import four_cliques
-from repro.graph.connectivity import components_of
+from repro.graph.connectivity import union_find
 from repro.graph.edges import oriented
 from repro.graph.triangles import triangles
 from repro.prob.approx import kappa_ap
@@ -56,18 +59,26 @@ def make_scorer(scorer: str):
 @dataclass
 class LocalDecomposition:
     """Result of ℓ-NuDecomp: ν per triangle plus the structures needed to
-    extract ℓ-(k,θ)-nuclei and to seed the FG/WG algorithms."""
+    extract ℓ-(k,θ)-nuclei and to seed the FG/WG algorithms. ``nu`` and
+    ``kappa0`` are int arrays indexed by tid."""
 
     theta: float
-    nu: dict[str, int]
-    kappa0: dict[str, int]
+    nu: np.ndarray
+    kappa0: np.ndarray
     tri_pdf: pd.DataFrame  # tid, x, y, z, p_tri
     clique_pdf: pd.DataFrame  # cid, x, y, z, w, 6 edge probs
+    clique_tri: np.ndarray  # (C × 4) tids of each clique's triangles
     methods: Counter = field(default_factory=Counter)
 
     @property
     def k_max(self) -> int:
-        return max(self.nu.values(), default=-1)
+        return int(self.nu.max(initial=-1))
+
+    def tids_of(self, triples) -> np.ndarray:
+        """The tids of sorted vertex triples, each a triangle of the graph."""
+        xyz = np.sort(self.tri_pdf[["x", "y", "z"]].to_numpy(np.int64), axis=1)
+        q = np.asarray(triples, np.int64).reshape(-1, 3)
+        return pd.MultiIndex.from_arrays(xyz.T).get_indexer(pd.MultiIndex.from_arrays(q.T))
 
 
 @dataclass
@@ -93,8 +104,8 @@ def collect_structures(spark: SparkSession, edge_df: DataFrame):
 
     Triangles and cliques are the two Spark collects; both frames are sorted
     by their vertex columns, so row order (and the FG/WG candidate numbering
-    built on it) does not depend on Spark's partitioning. ``cid`` is the
-    clique's row number."""
+    built on it) does not depend on Spark's partitioning. ``tid`` and ``cid``
+    are the row numbers."""
     d = oriented(edge_df)
     tri_df = triangles(d)
     tri_pdf = (
@@ -102,11 +113,7 @@ def collect_structures(spark: SparkSession, edge_df: DataFrame):
         .toPandas()
         .sort_values(["x", "y", "z"], ignore_index=True)
     )
-    tri_pdf.insert(
-        0,
-        "tid",
-        [tid_of(t) for t in zip(tri_pdf.x.tolist(), tri_pdf.y.tolist(), tri_pdf.z.tolist())],
-    )
+    tri_pdf.insert(0, "tid", np.arange(len(tri_pdf), dtype=np.int64))
     clique_pdf = (
         four_cliques(d, tri_df).toPandas().sort_values(list("xyzw"), ignore_index=True)
     )
@@ -132,25 +139,19 @@ def _incidence(tri_pdf: pd.DataFrame, clique_pdf: pd.DataFrame) -> pd.DataFrame:
     """Triangle↔4-clique incidence (cid, tid, ext_prob), four rows per
     clique: ext_prob = Pr(E_i) is the product of the probabilities of the
     three edges joining the left-out vertex to the triangle (paper §5.1).
-    The tids are looked up in ``tri_pdf``, so every row shares its
-    triangle's key."""
+    A triangle's tid is its row in ``tri_pdf``. The rows come in four blocks
+    of C, one per triangle of :data:`_CLIQUE_TRIANGLES`, each in cid order,
+    so the tid column reshaped to (4 × C) is the transposed ``clique_tri``."""
     p = {frozenset((a, b)): clique_pdf[col].to_numpy() for a, b, col in _CLIQUE_EDGE_COLS}
     rows = pd.MultiIndex.from_frame(tri_pdf[["x", "y", "z"]])
-    tids = tri_pdf.tid.to_numpy()
     cid = clique_pdf.cid.to_numpy()
     parts = []
     for tri in _CLIQUE_TRIANGLES:
         (out,) = set("xyzw") - set(tri)
         a, b, c = (p[frozenset((v, out))] for v in tri)
-        pos = rows.get_indexer(pd.MultiIndex.from_arrays([clique_pdf[v] for v in tri]))
-        parts.append(pd.DataFrame({"cid": cid, "tid": tids[pos], "ext_prob": a * b * c}))
+        tid = rows.get_indexer(pd.MultiIndex.from_arrays([clique_pdf[v] for v in tri]))
+        parts.append(pd.DataFrame({"cid": cid, "tid": tid, "ext_prob": a * b * c}))
     return pd.concat(parts, ignore_index=True)
-
-
-def _clique_tids(row) -> list[str]:
-    """The four canonical triangle keys of a clique row."""
-    x, y, z, w = row.x, row.y, row.z, row.w
-    return [tid_of(t) for t in ((x, y, z), (x, y, w), (x, z, w), (y, z, w))]
 
 
 def local_decomposition(
@@ -174,8 +175,9 @@ def local_decomposition(
     if structures is None:
         structures = collect_structures(spark, edge_df)
     tri_pdf, clique_pdf, inc_pdf = structures
-    nu, kappa0, methods = _peel_driver(tri_pdf, inc_pdf, theta, scorer, deadline)
-    return LocalDecomposition(theta, nu, kappa0, tri_pdf, clique_pdf, methods)
+    clique_tri = inc_pdf.tid.to_numpy().reshape(4, -1).T
+    nu, kappa0, methods = _peel_driver(tri_pdf, clique_tri, inc_pdf, theta, scorer, deadline)
+    return LocalDecomposition(theta, nu, kappa0, tri_pdf, clique_pdf, clique_tri, methods)
 
 
 # ---------------------------------------------------------------------------
@@ -183,67 +185,55 @@ def local_decomposition(
 # ---------------------------------------------------------------------------
 
 
-def _peel_driver(tri_pdf, inc_pdf, theta, scorer, deadline: float | None = None):
+def _peel_driver(tri_pdf, clique_tri, inc_pdf, theta, scorer, deadline: float | None = None):
     score = make_scorer(scorer)
     methods: Counter = Counter()
-    p_tri = dict(zip(tri_pdf.tid, tri_pdf.p_tri))
-    alive = {t for t, p in p_tri.items() if p >= theta - EPS}
-    nu = {t: -1 for t in p_tri if t not in alive}
+    p_tri = tri_pdf.p_tri.to_numpy()
+    alive = p_tri >= theta - EPS
+    nu = np.full(len(p_tri), -1, np.int64)
 
     def check_deadline():
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("local decomposition exceeded its wall-clock budget")
 
-    clique_tris: dict[str, list[str]] = {}
-    for cid, tid, _ in inc_pdf.itertuples(index=False):
-        clique_tris.setdefault(cid, []).append(tid)
     # a clique is alive only while all four triangles are alive
-    clique_alive = {
-        cid: all(t in alive for t in tids) for cid, tids in clique_tris.items()
-    }
-    tri_exts: dict[str, dict[str, float]] = {t: {} for t in alive}
-    for cid, tid, ext in inc_pdf.itertuples(index=False):
-        if clique_alive[cid]:
-            tri_exts[tid][cid] = ext
-    tri_cliques: dict[str, list[str]] = {t: list(d) for t, d in tri_exts.items()}
+    clique_alive = alive[clique_tri].all(axis=1)
+    # each triangle's cliques and Pr(E_i) in inc_pdf row order, so the scorer
+    # always sees a triangle's surviving Pr(E_i) in the same order
+    tid = inc_pdf.tid.to_numpy()
+    order = np.argsort(tid, kind="stable")
+    bounds = np.cumsum(np.bincount(tid, minlength=len(p_tri)))[:-1]
+    tri_cids = np.split(inc_pdf.cid.to_numpy()[order], bounds)
+    tri_exts = np.split(inc_pdf.ext_prob.to_numpy()[order], bounds)
 
     def rescore(t):
-        k, m = score(p_tri[t], list(tri_exts[t].values()), theta)
+        k, m = score(p_tri[t], tri_exts[t][clique_alive[tri_cids[t]]], theta)
         methods[m] += 1
         return k
 
-    kappa = {}
-    for i, t in enumerate(alive):
+    kappa = nu.copy()  # θ-filtered triangles: κ₀ = −1
+    for i, t in enumerate(np.flatnonzero(alive).tolist()):
         if i % 4096 == 0:
             check_deadline()
         kappa[t] = rescore(t)
-    kappa0 = dict(kappa)
-    kappa0.update({t: -1 for t in nu})  # θ-filtered triangles: κ₀ = −1
+    kappa0 = kappa.copy()
     level = 0
-    while alive:
+    while alive.any():
         check_deadline()
-        m = min(kappa[t] for t in alive)
-        level = max(level, m)
-        frontier = {t for t in alive if kappa[t] <= level}
-        while frontier:
+        level = max(level, int(kappa[alive].min()))
+        frontier = np.flatnonzero(alive & (kappa <= level))
+        while frontier.size:
             check_deadline()
-            affected: set = set()
-            for t in frontier:
-                nu[t] = level
-                alive.discard(t)
-            for t in frontier:
-                for cid in tri_cliques[t]:
-                    if not clique_alive[cid]:
-                        continue
-                    clique_alive[cid] = False
-                    for t2 in clique_tris[cid]:
-                        if t2 in alive:
-                            tri_exts[t2].pop(cid, None)
-                            affected.add(t2)
-            affected &= alive
-            for t in affected:
+            nu[frontier] = level
+            alive[frontier] = False
+            dead = np.unique(np.concatenate([tri_cids[t] for t in frontier.tolist()]))
+            dead = dead[clique_alive[dead]]
+            clique_alive[dead] = False
+            affected = np.unique(clique_tri[dead])
+            affected = affected[alive[affected]]
+            for t in affected.tolist():
                 kappa[t] = rescore(t)
-            frontier = {t for t in affected if kappa[t] <= level}
+            frontier = affected[kappa[affected] <= level]
     return nu, kappa0, methods
 
 
@@ -252,42 +242,42 @@ def _peel_driver(tri_pdf, inc_pdf, theta, scorer, deadline: float | None = None)
 # ---------------------------------------------------------------------------
 
 
-def cliques_within(clique_pdf: pd.DataFrame, tids: set) -> list[tuple]:
-    """(row, its four tids) of every clique whose triangles all lie in
-    ``tids``, in ``clique_pdf`` row order."""
-    out = []
-    for row in clique_pdf.itertuples(index=False):
-        four = _clique_tids(row)
-        if all(t in tids for t in four):
-            out.append((row, four))
-    return out
+def cliques_within(decomp: LocalDecomposition, keep: np.ndarray) -> np.ndarray:
+    """The cids of the cliques whose four triangles are all kept (``keep``
+    is a boolean array over tids), in ``clique_pdf`` row order."""
+    return np.flatnonzero(keep[decomp.clique_tri].all(axis=1))
 
 
-def union_subgraph(k: int, cliques: Iterable[tuple]) -> NucleusSubgraph:
-    """The union of (row, tids) cliques as one subgraph at level ``k``."""
-    sub = NucleusSubgraph(k, set(), {}, set())
-    for row, tids in cliques:
-        sub.tids.update(tids)
-        sub.vertices.update((row.x, row.y, row.z, row.w))
-        for a, b, pc in _CLIQUE_EDGE_COLS:
-            sub.edges[canon(getattr(row, a), getattr(row, b))] = getattr(row, pc)
-    return sub
+def union_subgraph(decomp: LocalDecomposition, k: int, cids: np.ndarray) -> NucleusSubgraph:
+    """The union of the cliques ``cids`` as one subgraph at level ``k``."""
+    # ends and probability of each clique's six edges, clique by clique
+    u, v, p = (
+        np.stack([decomp.clique_pdf[c].to_numpy()[cids] for c in cols], axis=1).ravel()
+        for cols in zip(*_CLIQUE_EDGE_COLS)
+    )
+    edges = zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist())
+    return NucleusSubgraph(
+        k,
+        set(u.tolist()) | set(v.tolist()),
+        dict(zip(edges, p.tolist())),
+        set(np.unique(decomp.clique_tri[cids]).tolist()),
+    )
 
 
-def connected_subgraphs(clique_pdf: pd.DataFrame, k: int, tids: set) -> list[NucleusSubgraph]:
-    """The s-connected unions of the cliques whose triangles all lie in
-    ``tids``, one subgraph per component."""
-    cliques = cliques_within(clique_pdf, tids)
-    comps = components_of(tids for _, tids in cliques)
-    label_of = {t: i for i, comp in enumerate(comps) for t in comp}
-    members: list[list[tuple]] = [[] for _ in comps]
-    for c in cliques:
-        members[label_of[c[1][0]]].append(c)
-    return [union_subgraph(k, m) for m in members]
+def connected_subgraphs(
+    decomp: LocalDecomposition, k: int, keep: np.ndarray
+) -> list[NucleusSubgraph]:
+    """The s-connected unions of the cliques whose triangles are all kept,
+    one subgraph per component, in the order of their first clique."""
+    cids = cliques_within(decomp, keep)
+    four = decomp.clique_tri[cids].tolist()
+    rep = union_find(four)
+    comp = np.array([rep[t] for t, *_ in four], np.intp)
+    _, first = np.unique(comp, return_index=True)
+    return [union_subgraph(decomp, k, cids[comp == comp[i]]) for i in np.sort(first)]
 
 
 def ell_nuclei(decomp: LocalDecomposition, k: int) -> list[NucleusSubgraph]:
     """All ℓ-(k,θ)-nuclei: maximal s-connected unions of 4-cliques whose
     four triangles all have ν ≥ k (the standard level-k extraction)."""
-    kept = {t for t, v in decomp.nu.items() if v >= k}
-    return connected_subgraphs(decomp.clique_pdf, k, kept)
+    return connected_subgraphs(decomp, k, decomp.nu >= k)

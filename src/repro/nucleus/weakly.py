@@ -11,8 +11,11 @@ surviving triangles' 4-cliques.
 The per-world decompositions run on the driver in the shared
 `mc_triangle_counts` kernel (mode "w"): for one local nucleus at a time, the
 level-k triangle peel runs to a fixpoint over all n sampled worlds at once.
-No Spark job runs here; the ``spark`` parameters are unused.
+Its counts, keyed by sorted vertex triple, are mapped to tids in one lookup
+per nucleus and filtered as an array over tids. No Spark job runs here; the
+``spark`` parameters are unused.
 """
+import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.nucleus.local import (
@@ -44,10 +47,13 @@ def w_nuclei(
     counts = mc_triangle_counts(spark, cand_edges, k, n, seed, "w")
     out: list[NucleusSubgraph] = []
     for i, h in enumerate(locals_):
-        got = counts.get(i, {})
-        kept = {t for t in h.tids if got.get(t, 0) / n >= theta}
+        got = counts[i]
+        frac = np.zeros(len(decomp.nu))
+        frac[decomp.tids_of(list(got))] = np.array(list(got.values())) / n
+        kept = np.zeros(len(decomp.nu), bool)
+        kept[list(h.tids)] = True
         # connected union of surviving triangles' 4-cliques within H
-        out.extend(connected_subgraphs(decomp.clique_pdf, k, kept))
+        out.extend(connected_subgraphs(decomp, k, kept & (frac >= theta)))
     return out
 
 

@@ -52,6 +52,17 @@ def random_prob_graph(n: int, p_struct: float, seed: int) -> pd.DataFrame:
     return pd.DataFrame(rows, columns=["u", "v", "p"])
 
 
+def triple_of(decomp) -> list[tuple]:
+    """Per tid, the triangle's vertex ids as a sorted triple."""
+    t = decomp.tri_pdf
+    return [tuple(sorted(map(int, xyz))) for xyz in zip(t.x, t.y, t.z)]
+
+
+def nu_by_triple(decomp) -> dict[tuple, int]:
+    """ν of a decomposition keyed by sorted vertex triple."""
+    return dict(zip(triple_of(decomp), decomp.nu.tolist()))
+
+
 def edges_list(pdf: pd.DataFrame) -> list[tuple]:
     """pandas edge frame -> [(u, v, p)] list for the brute-force oracle."""
     return [(u, v, p) for u, v, p in pdf[["u", "v", "p"]].itertuples(index=False)]

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import complete_graph, edges_list
 from repro.bruteforce import is_k_nucleus_def3, local_nu_reference, tail_probability
-from repro.det.adjacency import adj_sets, canon, clique_triangles, tid_of
+from repro.det.adjacency import adj_sets, canon, clique_triangles
 from repro.det.nucleus import is_k_nucleus
 from repro.experiments import _nu_errors
 from repro.nucleus.local import NucleusSubgraph
@@ -99,11 +99,6 @@ def test_canon_orders():
     assert canon(5, 2) == (2, 5) and canon(2, 5) == (2, 5)
 
 
-def test_tid_of_sorts_ids_numerically():
-    assert tid_of((10, 9, 100)) == "9-10-100"
-    assert tid_of(np.array([3, 1, 2])) == "1-2-3"
-
-
 # --- g-indicator: det.nucleus.is_k_nucleus vs Definition 3 -----------------
 
 
@@ -135,10 +130,20 @@ def test_adj_sets_symmetric():
 
 
 def test_nu_errors_metrics():
-    avg, pct = _nu_errors({"a": 2, "b": 3, "c": 1}, {"a": 2, "b": 1, "c": 1})
+    avg, pct = _nu_errors(np.array([2, 3, 1]), np.array([2, 1, 1]))
     assert avg == pytest.approx(2 / 3)
     assert pct == pytest.approx(100 / 3)
-    assert _nu_errors({}, {}) == (0.0, 0.0)
+    assert _nu_errors(np.array([], int), np.array([], int)) == (0.0, 0.0)
+
+
+def test_nu_errors_by_tid_with_filtered_triangles():
+    """θ-filtered triangles (ν = −1 under both scorers) count as equal; AP
+    above and below DP both count: |diffs| = 0, 1, 0, 2, 0, 3."""
+    dp = np.array([-1, 0, 2, 3, 1, 4])
+    ap = np.array([-1, 1, 2, 1, 1, 1])
+    avg, pct = _nu_errors(dp, ap)
+    assert avg == pytest.approx(6 / 6)
+    assert pct == pytest.approx(50.0)
 
 
 def test_nucleus_subgraph_edge_pdf():

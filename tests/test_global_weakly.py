@@ -5,9 +5,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from helpers import complete_graph, edges_list, example2_K5, fig1_H
+from helpers import complete_graph, edges_list, example2_K5, fig1_H, triple_of
 from repro.bruteforce import tail_probability
-from repro.det.adjacency import adj_sets, enumerate_triangles, tid_of
+from repro.det.adjacency import adj_sets, enumerate_triangles
 from repro.det.nucleus import is_k_nucleus, nucleus_numbers
 from repro.nucleus import global_
 from repro.nucleus.global_ import (
@@ -47,11 +47,11 @@ def test_fig1_H_itself_not_g_nucleus(spark):
 
 
 def test_fig1_g_nuclei_satisfy_exact_definition(spark, fig1_decomp):
+    triple = triple_of(fig1_decomp)
     for h in g_nuclei(spark, fig1_decomp, 1, n=400, seed=1):
         e = [(u, v, p) for (u, v), p in h.edges.items()]
         for tid in h.tids:
-            tri = tuple(sorted(map(int, tid.split("-"))))
-            assert tail_probability(e, tri, 1, "g") >= 0.42
+            assert tail_probability(e, triple[tid], 1, "g") >= 0.42
 
 
 def test_fig1_g_nucleus_probability_values():
@@ -94,6 +94,18 @@ def test_grow_candidates_fig1(fig1_decomp):
     assert sizes and all(s in (6, 9) for s in sizes)
 
 
+def test_grow_candidates_order_unchanged_by_increasing_relabelling(spark, fig1_decomp):
+    """The candidate order is the FG Monte-Carlo stream key. Seeds are
+    visited in tid (row) order, which an increasing relabelling keeps, also
+    one that turns the one-digit ids 1..5 into 6..10."""
+    pdf = fig1_H().pipe(lambda d: d.assign(u=d.u + 5, v=d.v + 5))
+    shifted = local_decomposition(spark, spark.createDataFrame(pdf), 0.42)
+    got = [{(u - 5, v - 5): p for (u, v), p in c.items()} for c in grow_candidates(shifted, 1)]
+    want = grow_candidates(fig1_decomp, 1)
+    assert len(want) == 3
+    assert got == want
+
+
 def test_grow_candidates_k_too_high(fig1_decomp):
     assert grow_candidates(fig1_decomp, 99) == []
 
@@ -122,7 +134,7 @@ def test_mc_estimate_close_to_exact(spark):
     edges = {(u, v): 0.6 for u, v, _ in edges_list(complete_graph(5, 0.6))}
     n = 2000
     counts = mc_triangle_counts(spark, {0: edges}, 1, n, seed=11, mode="w")
-    est = counts[0].get("0-1-2", 0) / n
+    est = counts[0].get((0, 1, 2), 0) / n
     exact = tail_probability(edges_list(complete_graph(5, 0.6)), (0, 1, 2), 1, "w")
     assert abs(est - exact) < 0.05
 
@@ -165,12 +177,13 @@ def test_g_contained_in_w_contained_in_l(spark, fig1_decomp):
 
 def scalar_counts(candidates, k, n, seed, mode):
     """The same worlds as ``mc_triangle_counts``, judged one at a time by
-    ``det.nucleus``: per candidate, {tid: count} over all its triangles."""
+    ``det.nucleus``: per candidate, {sorted vertex triple: count} over all
+    its triangles."""
     out = {}
     for cid, edges in candidates.items():
         keys = sorted(edges)
         p = np.array([edges[e] for e in keys])
-        got = {tid_of(t): 0 for t in enumerate_triangles(adj_sets(keys))}
+        got = {tuple(sorted(t)): 0 for t in enumerate_triangles(adj_sets(keys))}
         for s in range(n):
             world = [e for e, keep in zip(keys, world_mask(p, (seed, cid, s))) if keep]
             if mode == "g":
@@ -178,7 +191,7 @@ def scalar_counts(candidates, k, n, seed, mode):
             else:
                 hits = [t for t, v in nucleus_numbers(world).items() if v >= k]
             for t in hits:
-                got[tid_of(t)] += 1
+                got[tuple(sorted(t))] += 1
         out[cid] = got
     return out
 

@@ -28,7 +28,12 @@ def cliques_of(spark, pdf):
 
 
 def incidence_of(spark, pdf):
-    return collect_structures(spark, spark_edges(spark, pdf))[2]
+    """The incidence with each tid's triangle as id-sorted columns a, b, c."""
+    tri, _, inc = collect_structures(spark, spark_edges(spark, pdf))
+    abc = pd.DataFrame(
+        sorted(xyz) for xyz in zip(tri.x.tolist(), tri.y.tolist(), tri.z.tolist())
+    )
+    return inc.assign(**{col: abc[i].to_numpy()[inc.tid] for i, col in enumerate("abc")})
 
 
 def sorted_triangles(tri_df):
@@ -177,26 +182,25 @@ def test_incidence_ext_prob_k4(spark):
     inc = incidence_of(spark, pdf)
     expect = {}
     for tri, out in [((0, 1, 2), 3), ((0, 1, 3), 2), ((0, 2, 3), 1), ((1, 2, 3), 0)]:
-        key = "-".join(map(str, tri))
-        expect[key] = 1.0
+        expect[tri] = 1.0
         for x in tri:
-            expect[key] *= p[tuple(sorted((x, out)))]
-    got = dict(zip(inc.tid, inc.ext_prob))
+            expect[tri] *= p[tuple(sorted((x, out)))]
+    got = dict(zip(zip(inc.a, inc.b, inc.c), inc.ext_prob))
     assert got == pytest.approx(expect)
 
 
 def test_triangle_support_counts_match_duckdb(spark):
     """#cliques per triangle (the c_△ of the paper) vs a DuckDB aggregate."""
     pdf = random_prob_graph(18, 0.6, seed=9)
-    sup = incidence_of(spark, pdf).groupby("tid").size().reset_index(name="c")
+    sup = incidence_of(spark, pdf).groupby(["a", "b", "c"]).size().reset_index(name="n")
     sql = f"""
     WITH c4 AS ({CLIQUE_SQL})
     , inc AS (
-      SELECT a||'-'||b||'-'||c AS tid FROM c4
-      UNION ALL SELECT a||'-'||b||'-'||d FROM c4
-      UNION ALL SELECT a||'-'||c||'-'||d FROM c4
-      UNION ALL SELECT b||'-'||c||'-'||d FROM c4
+      SELECT a, b, c FROM c4
+      UNION ALL SELECT a, b, d FROM c4
+      UNION ALL SELECT a, c, d FROM c4
+      UNION ALL SELECT b, c, d FROM c4
     )
-    SELECT tid, count(*)::BIGINT AS c FROM inc GROUP BY tid
+    SELECT a, b, c, count(*)::BIGINT AS n FROM inc GROUP BY a, b, c
     """
     assert_equivalent(spark.createDataFrame(sup), sql, e=pdf)

@@ -5,15 +5,19 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from helpers import complete_graph, edges_list, example2_K5, fig1_H, random_prob_graph
+from helpers import (
+    complete_graph,
+    edges_list,
+    example2_K5,
+    fig1_H,
+    nu_by_triple,
+    random_prob_graph,
+    triple_of,
+)
 from repro.bruteforce import local_nu_reference, tail_probability
 from repro.det.nucleus import nucleus_numbers
 from repro.nucleus.local import ell_nuclei, local_decomposition
 from repro.prob.support import pb_tail
-
-
-def nu_by_tuple(decomp):
-    return {tuple(sorted(map(int, t.split("-")))): v for t, v in decomp.nu.items()}
 
 
 # --- agreement with the sequential exact reference --------------------------
@@ -23,14 +27,14 @@ def nu_by_tuple(decomp):
 def test_matches_reference_random_graphs(spark, seed):
     pdf = random_prob_graph(9, 0.65, seed=seed)
     d = local_decomposition(spark, spark.createDataFrame(pdf), 0.2)
-    assert nu_by_tuple(d) == local_nu_reference(edges_list(pdf), 0.2)
+    assert nu_by_triple(d) == local_nu_reference(edges_list(pdf), 0.2)
 
 
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.7])
 def test_matches_reference_thetas(spark, theta):
     pdf = random_prob_graph(8, 0.8, seed=42)
     d = local_decomposition(spark, spark.createDataFrame(pdf), theta)
-    assert nu_by_tuple(d) == local_nu_reference(edges_list(pdf), theta)
+    assert nu_by_triple(d) == local_nu_reference(edges_list(pdf), theta)
 
 
 # --- paper worked examples --------------------------------------------------
@@ -39,7 +43,7 @@ def test_matches_reference_thetas(spark, theta):
 def test_figure1_H_is_l_1_042_nucleus(spark):
     """Figure 1b: every triangle of H is in one 4-clique w.p. ≥ 0.42."""
     d = local_decomposition(spark, spark.createDataFrame(fig1_H()), 0.42)
-    assert set(d.nu.values()) == {1}
+    assert set(d.nu.tolist()) == {1}
     nuclei = ell_nuclei(d, 1)
     assert len(nuclei) == 1
     assert nuclei[0].vertices == {1, 2, 3, 4, 5}
@@ -56,12 +60,12 @@ def test_figure1_higher_theta_kills_H(spark):
     d = local_decomposition(spark, spark.createDataFrame(fig1_H()), 0.7)
     # only the 0.6-clique side survives at θ=0.55? At θ=0.7 neither 4-clique
     # reaches 0.7, so no triangle keeps support k≥1.
-    assert all(v <= 0 for v in d.nu.values())
+    assert all(v <= 0 for v in d.nu.tolist())
 
 
 def test_example2_K5_is_l_2_001_nucleus(spark):
     d = local_decomposition(spark, spark.createDataFrame(example2_K5()), 0.01)
-    assert set(d.nu.values()) == {2}  # each triangle in both 4-cliques w.p. .6^9
+    assert set(d.nu.tolist()) == {2}  # each triangle in both 4-cliques w.p. .6^9
 
 
 def test_example2_tail_values():
@@ -110,15 +114,15 @@ def test_deterministic_limit_matches_det_nucleus(spark):
     pdf = random_prob_graph(10, 0.6, seed=7).assign(p=1.0)
     d = local_decomposition(spark, spark.createDataFrame(pdf), 1.0)
     det = nucleus_numbers([(u, v) for u, v, _ in edges_list(pdf)])
-    got = nu_by_tuple(d)
+    got = nu_by_triple(d)
     # det assigns 0 to clique-less triangles; probabilistic ν does the same
     assert got == det
 
 
 def test_theta_monotonicity(spark):
     pdf = random_prob_graph(9, 0.7, seed=11)
-    lo = local_decomposition(spark, spark.createDataFrame(pdf), 0.1).nu
-    hi = local_decomposition(spark, spark.createDataFrame(pdf), 0.5).nu
+    lo = nu_by_triple(local_decomposition(spark, spark.createDataFrame(pdf), 0.1))
+    hi = nu_by_triple(local_decomposition(spark, spark.createDataFrame(pdf), 0.5))
     for t in lo:
         assert hi[t] <= lo[t]
 
@@ -126,15 +130,15 @@ def test_theta_monotonicity(spark):
 def test_low_probability_triangles_get_minus_one(spark):
     pdf = complete_graph(4, 0.2)  # p_tri = 0.008 < θ
     d = local_decomposition(spark, spark.createDataFrame(pdf), 0.5)
-    assert set(d.nu.values()) == {-1}
+    assert set(d.nu.tolist()) == {-1}
     assert ell_nuclei(d, 0) == []
 
 
 def test_kappa0_upper_bounds_nu(spark):
     pdf = random_prob_graph(10, 0.6, seed=13)
     d = local_decomposition(spark, spark.createDataFrame(pdf), 0.15)
-    for t, v in d.nu.items():
-        assert v <= d.kappa0[t] or v == -1
+    for v, kappa0 in zip(d.nu.tolist(), d.kappa0.tolist()):
+        assert v <= kappa0 or v == -1
 
 
 def test_extracted_nuclei_satisfy_definition(spark):
@@ -145,22 +149,23 @@ def test_extracted_nuclei_satisfy_definition(spark):
     d = local_decomposition(spark, spark.createDataFrame(pdf), theta)
     k = d.k_max
     assert k >= 1
+    triple = triple_of(d)
     for h in ell_nuclei(d, k):
         e = [(u, v, p) for (u, v), p in h.edges.items()]
         if len(e) > 18:
             pytest.skip("extracted nucleus too large for exact enumeration")
         for tid in h.tids:
-            tri = tuple(sorted(map(int, tid.split("-"))))
-            assert tail_probability(e, tri, k, "l") >= theta - 1e-9
+            assert tail_probability(e, triple[tid], k, "l") >= theta - 1e-9
 
 
 def test_ap_scorer_end_to_end_close_to_dp(spark):
     pdf = random_prob_graph(12, 0.7, seed=21)
     dp = local_decomposition(spark, spark.createDataFrame(pdf), 0.2, scorer="dp")
     ap = local_decomposition(spark, spark.createDataFrame(pdf), 0.2, scorer="ap")
-    diffs = [abs(dp.nu[t] - ap.nu[t]) for t in dp.nu]
+    dp, ap = nu_by_triple(dp), nu_by_triple(ap)
+    diffs = [abs(dp[t] - ap[t]) for t in dp]
     assert np.mean(diffs) <= 0.5
-    assert dp.nu.keys() == ap.nu.keys()
+    assert dp.keys() == ap.keys()
 
 
 def test_methods_counter_populated_ap(spark):
@@ -177,7 +182,7 @@ def test_precomputed_structures_equivalent(spark):
     s = collect_structures(spark, e)
     d1 = local_decomposition(spark, e, 0.2)
     d2 = local_decomposition(spark, e, 0.2, structures=s)
-    assert d1.nu == d2.nu and d1.kappa0 == d2.kappa0
+    assert np.array_equal(d1.nu, d2.nu) and np.array_equal(d1.kappa0, d2.kappa0)
 
 
 def test_unknown_scorer_raises(spark):
@@ -188,7 +193,7 @@ def test_unknown_scorer_raises(spark):
 def test_empty_graph(spark):
     pdf = pd.DataFrame({"u": [0], "v": [1], "p": [0.5]})
     d = local_decomposition(spark, spark.createDataFrame(pdf), 0.2)
-    assert d.nu == {} and d.k_max == -1
+    assert len(d.nu) == 0 and d.k_max == -1
 
 
 def test_nuclei_levels_nested(spark):

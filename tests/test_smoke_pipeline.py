@@ -2,6 +2,7 @@
 import pandas as pd
 import pytest
 
+from helpers import nu_by_triple
 from repro.bruteforce import local_nu_reference
 from repro.nucleus.local import ell_nuclei, local_decomposition
 
@@ -29,7 +30,7 @@ def test_k6_clique_count(k6_decomp):
 
 def test_k6_nu_uniform_and_positive(k6_decomp):
     # symmetry: every triangle of K6 gets the same ν; with p=.9, θ=.1 some k≥1
-    vals = set(k6_decomp.nu.values())
+    vals = set(k6_decomp.nu.tolist())
     assert len(vals) == 1
     assert vals.pop() >= 1
 
@@ -38,8 +39,7 @@ def test_k6_matches_bruteforce_reference(spark, k6_decomp):
     ref = local_nu_reference(
         [(u, v, p) for u, v, p in k6_edges().itertuples(index=False)], 0.1
     )
-    got = {tuple(sorted(map(int, t.split("-")))): v for t, v in k6_decomp.nu.items()}
-    assert got == ref
+    assert nu_by_triple(k6_decomp) == ref
 
 
 def test_k6_nuclei_extraction(k6_decomp):
