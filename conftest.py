@@ -37,11 +37,16 @@ def _driver_mem() -> str:
     return "48g"
 
 
+#: Spark's console logging defaults without the NativeCodeLoader warning;
+#: like the driver memory, read only at JVM launch.
+LOG4J2 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "conf", "log4j2.properties")
+
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
     f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
+    f"--driver-java-options -Dlog4j2.configurationFile=file:{LOG4J2} "
     f"--conf spark.driver.host=127.0.0.1 "
     f"--conf spark.ui.enabled=false "
     "pyspark-shell",

@@ -9,14 +9,19 @@ real cross-check, not a tautology. The w indicator uses the deterministic
 decomposition ``repro.det.nucleus.nucleus_numbers``: a literal "some
 k-nucleus subgraph of the world contains △" would enumerate the subgraphs
 of every world.
+
+The core and truss baselines have two oracles each: the deterministic
+k-core and k-truss heap peels (the p = 1, η = γ = 1 limit), and a per-k
+deletion fixpoint written from the (k,η)-core and (k,γ)-truss definitions.
 """
+import heapq
 from itertools import combinations
 
 import numpy as np
 
 from repro.det.adjacency import adj_sets, canon, enumerate_4cliques
 from repro.det.nucleus import nucleus_numbers
-from repro.prob.support import EPS
+from repro.prob.support import EPS, pb_tail
 
 
 def _support_in_world(world_edges: set, tri: tuple) -> int:
@@ -102,8 +107,6 @@ def local_nu_reference(edges, theta: float) -> dict[tuple, int]:
     Independent of the production peelers: plain dicts, one triangle removed
     per step, full DP rescore of every neighbour after each removal.
     """
-    import heapq
-
     from repro.prob.support import kappa_dp
 
     edges = [(canon(u, v)[0], canon(u, v)[1], p) for u, v, p in edges]
@@ -168,3 +171,114 @@ def local_nu_reference(edges, theta: float) -> dict[tuple, int]:
                     kappa[t2] = kap(t2)
                     heapq.heappush(heap, (kappa[t2], t2))
     return nu
+
+
+# ---------------------------------------------------------------------------
+# core and truss oracles
+# ---------------------------------------------------------------------------
+
+
+def core_numbers(edges) -> dict:
+    """Deterministic k-core number per vertex (k-(1,2)-nucleus) of an
+    iterable of canonical edges: Batagelj–Zaveršnik, repeatedly remove a
+    minimum-degree vertex; its core number is the running maximum of the
+    degree at removal time."""
+    adj = {v: set(n) for v, n in adj_sets(edges).items()}
+    heap = [(len(n), v) for v, n in adj.items()]
+    heapq.heapify(heap)
+    removed: set = set()
+    core: dict = {}
+    level = 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in removed or d != len(adj[v]):
+            continue  # stale heap entry
+        level = max(level, d)
+        core[v] = level
+        removed.add(v)
+        for w in adj[v]:
+            adj[w].discard(v)
+            heapq.heappush(heap, (len(adj[w]), w))
+        adj[v] = set()
+    return core
+
+
+def truss_numbers(edges) -> dict:
+    """Deterministic k-truss number per canonical edge (k-(2,3)-nucleus):
+    max k such that the edge lies in a maximal subgraph where every edge is
+    contained in ≥ k triangles (the paper's footnote 1 convention)."""
+    edges = [canon(u, v) for u, v in edges]
+    adj = {v: set(n) for v, n in adj_sets(edges).items()}
+    support = {e: len(adj[e[0]] & adj[e[1]]) for e in edges}
+    heap = [(s, e) for e, s in support.items()]
+    heapq.heapify(heap)
+    removed: set = set()
+    truss: dict = {}
+    level = 0
+    while heap:
+        s, e = heapq.heappop(heap)
+        if e in removed or s != support[e]:
+            continue
+        level = max(level, s)
+        truss[e] = level
+        removed.add(e)
+        u, v = e
+        for w in adj[u] & adj[v]:  # triangles through e die
+            for other in (canon(u, w), canon(v, w)):
+                if other not in removed:
+                    support[other] -= 1
+                    heapq.heappush(heap, (support[other], other))
+        adj[u].discard(v)
+        adj[v].discard(u)
+    return truss
+
+
+def _deletion_fixpoint(elements, holds) -> dict:
+    """For k = 0, 1, ...: start from all ``elements`` and repeatedly delete
+    every element x with ``holds(x, survivors, k)`` false. An element's
+    number is the largest k at which it survives, −1 if it fails at k = 0."""
+    number = dict.fromkeys(elements, -1)
+    k = 0
+    while True:
+        alive = set(elements)
+        while drop := {x for x in alive if not holds(x, alive, k)}:
+            alive -= drop
+        if not alive:
+            return number
+        for x in alive:
+            number[x] = k
+        k += 1
+
+
+def eta_core_fixpoint(edges, eta: float) -> dict:
+    """(k,η)-core number per vertex from the definition: the (k,η)-core is
+    the largest vertex set in which every vertex has Pr[≥ k of its edges
+    inside the set exist] ≥ η. ``edges`` is a list of (u, v, p)."""
+    p_edge = {canon(u, v): p for u, v, p in edges}
+    adj = adj_sets(p_edge)
+
+    def holds(v, alive, k):
+        qs = [p_edge[canon(v, w)] for w in adj[v] if w in alive]
+        return k <= len(qs) and pb_tail(np.array(qs))[k] >= eta - EPS
+
+    return _deletion_fixpoint(list(adj), holds)
+
+
+def gamma_truss_fixpoint(edges, gamma: float) -> dict:
+    """(k,γ)-truss number per canonical edge from the definition: the
+    (k,γ)-truss is the largest edge set in which every edge e has
+    p_e · Pr[≥ k triangles of the set through e exist | e] ≥ γ; −1 for an
+    edge with p_e < γ. ``edges`` is a list of (u, v, p)."""
+    p_edge = {canon(u, v): p for u, v, p in edges}
+    adj = adj_sets(p_edge)
+
+    def holds(e, alive, k):
+        u, v = e
+        qs = [
+            p_edge[canon(u, w)] * p_edge[canon(v, w)]
+            for w in adj[u] & adj[v]
+            if canon(u, w) in alive and canon(v, w) in alive
+        ]
+        return k <= len(qs) and p_edge[e] * pb_tail(np.array(qs))[k] >= gamma - EPS
+
+    return _deletion_fixpoint(list(p_edge), holds)

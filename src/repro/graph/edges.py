@@ -11,7 +11,12 @@ output near-linear in practice (a hub of degree d contributes O(d^2) wedges
 undirected but only pairs among its *higher-ordered* neighbours when
 oriented). The order is compared pairwise, as ``(deg, id)`` structs, so no
 global sort or rank numbering is needed.
+
+The driver-side baselines read pandas edge frames through
+:func:`edge_arrays`, which checks the same form and repairs nothing.
 """
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -46,6 +51,24 @@ def canonical_edges(df: DataFrame) -> DataFrame:
         .groupBy("u", "v")
         .agg(F.max("p").alias("p"))
     )
+
+
+def edge_arrays(edges: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The u, v and p columns of a pandas edge frame, each edge listed once
+    in either orientation. A p that is NaN, ≤ 0 or > 1, a self-loop, or an
+    edge listed twice raises ValueError naming the edge."""
+    u, v = edges.u.to_numpy(), edges.v.to_numpy()
+    p = edges.p.to_numpy(np.float64)
+    pair = pd.DataFrame({"lo": np.minimum(u, v), "hi": np.maximum(u, v)})
+    for bad, why in (
+        (~((p > 0) & (p <= 1)), "has probability {p}; p must be in (0, 1]"),
+        (u == v, "is a self-loop"),
+        (pair.duplicated().to_numpy(), "is listed twice"),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"edge ({u[i]}, {v[i]}) " + why.format(p=p[i]))
+    return u, v, p
 
 
 def degrees(edges: DataFrame) -> DataFrame:

@@ -11,11 +11,15 @@ Pipeline:
    Pr(△)·Pr[ζ ≥ k] ≥ θ, using either the exact Poisson-binomial DP
    (scorer="dp") or the paper's statistical approximations with DP fallback
    (scorer="ap"), computed in-process from the collected incidence.
-3. **Peeling** — level-synchronous batch peeling (the batch analog of
-   Algorithm 1's min-peel; Batagelj–Zaveršnik running-max level semantics):
-   at each level remove every triangle whose current κ ≤ level (cascading to
-   a fixpoint), kill the 4-cliques containing them, rescore only the
-   survivors whose clique multiset shrank. ν(△) = removal level.
+3. **Peeling** — :func:`peel`, level-synchronous batch peeling (the batch
+   analog of Algorithm 1's min-peel; Batagelj–Zaveršnik running-max level
+   semantics): at each level remove every triangle whose current κ ≤ level
+   (cascading to a fixpoint), kill the 4-cliques containing them, rescore
+   only the survivors whose clique multiset shrank. ν(△) = removal level.
+   :func:`peel` knows elements and support structures, not triangles and
+   cliques, so the (k,η)-core (vertices in edges, `repro.prob.core`) and
+   the (k,γ)-truss (edges in triangles, `repro.prob.truss`) baselines run
+   on it too.
 4. **Extraction** — :func:`ell_nuclei` takes, for one k, the s-connected
    unions of 4-cliques whose four triangles all have ν ≥ k. This module is
    the only one that reads the ``clique_pdf`` row layout: FG and WG select
@@ -59,12 +63,11 @@ def make_scorer(scorer: str):
 @dataclass
 class LocalDecomposition:
     """Result of ℓ-NuDecomp: ν per triangle plus the structures needed to
-    extract ℓ-(k,θ)-nuclei and to seed the FG/WG algorithms. ``nu`` and
-    ``kappa0`` are int arrays indexed by tid."""
+    extract ℓ-(k,θ)-nuclei and to seed the FG/WG algorithms. ``nu`` is an
+    int array indexed by tid."""
 
     theta: float
     nu: np.ndarray
-    kappa0: np.ndarray
     tri_pdf: pd.DataFrame  # tid, x, y, z, p_tri
     clique_pdf: pd.DataFrame  # cid, x, y, z, w, 6 edge probs
     clique_tri: np.ndarray  # (C × 4) tids of each clique's triangles
@@ -176,8 +179,11 @@ def local_decomposition(
         structures = collect_structures(spark, edge_df)
     tri_pdf, clique_pdf, inc_pdf = structures
     clique_tri = inc_pdf.tid.to_numpy().reshape(4, -1).T
-    nu, kappa0, methods = _peel_driver(tri_pdf, clique_tri, inc_pdf, theta, scorer, deadline)
-    return LocalDecomposition(theta, nu, kappa0, tri_pdf, clique_pdf, clique_tri, methods)
+    ext = inc_pdf.ext_prob.to_numpy().reshape(4, -1).T
+    nu, methods = peel(
+        tri_pdf.p_tri.to_numpy(), clique_tri, ext, theta, make_scorer(scorer), deadline
+    )
+    return LocalDecomposition(theta, nu, tri_pdf, clique_pdf, clique_tri, methods)
 
 
 # ---------------------------------------------------------------------------
@@ -185,38 +191,54 @@ def local_decomposition(
 # ---------------------------------------------------------------------------
 
 
-def _peel_driver(tri_pdf, clique_tri, inc_pdf, theta, scorer, deadline: float | None = None):
-    score = make_scorer(scorer)
+def peel(p_self, members, ext, theta, score, deadline: float | None = None):
+    """Level-synchronous probabilistic peel: ν of every element, and the
+    scorer's method mix.
+
+    The elements are 0..N−1, element i present with probability
+    ``p_self[i]``. Row j of the (S × s) int array ``members`` lists the s
+    elements of support structure j, and ``ext[j, i]`` is Pr(structure j |
+    element ``members[j, i]``). An element's score is
+    ``score(p_self, qs, theta) -> (κ, method)``, with qs the Pr(structure |
+    element) of its surviving structures, read in column-major order of
+    ``members`` (position first, then row). A structure dies with the first
+    of its elements to go. Elements with p_self < θ get ν = −1, and their
+    structures are dead from the start.
+
+    At each level remove every element whose current κ ≤ level, cascading
+    to a fixpoint, kill the structures containing them and rescore only the
+    survivors that lost one; ν is the removal level. ``deadline`` is a
+    ``time.monotonic()`` instant past which the peel raises TimeoutError.
+    """
     methods: Counter = Counter()
-    p_tri = tri_pdf.p_tri.to_numpy()
-    alive = p_tri >= theta - EPS
-    nu = np.full(len(p_tri), -1, np.int64)
+    alive = p_self >= theta - EPS
+    nu = np.full(len(p_self), -1, np.int64)
 
     def check_deadline():
         if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("local decomposition exceeded its wall-clock budget")
+            raise TimeoutError("peel exceeded its wall-clock budget")
 
-    # a clique is alive only while all four triangles are alive
-    clique_alive = alive[clique_tri].all(axis=1)
-    # each triangle's cliques and Pr(E_i) in inc_pdf row order, so the scorer
-    # always sees a triangle's surviving Pr(E_i) in the same order
-    tid = inc_pdf.tid.to_numpy()
-    order = np.argsort(tid, kind="stable")
-    bounds = np.cumsum(np.bincount(tid, minlength=len(p_tri)))[:-1]
-    tri_cids = np.split(inc_pdf.cid.to_numpy()[order], bounds)
-    tri_exts = np.split(inc_pdf.ext_prob.to_numpy()[order], bounds)
+    # a structure is alive only while all its elements are alive
+    struct_alive = alive[members].all(axis=1)
+    # each element's structures and Pr(structure | element), column-major,
+    # so the scorer always sees an element's surviving qs in the same order
+    elem = members.T.ravel()
+    order = np.argsort(elem, kind="stable")
+    bounds = np.cumsum(np.bincount(elem, minlength=len(p_self)))[:-1]
+    sids = np.tile(np.arange(len(members)), members.shape[1])
+    el_sids = np.split(sids[order], bounds)
+    el_exts = np.split(ext.T.ravel()[order], bounds)
 
-    def rescore(t):
-        k, m = score(p_tri[t], tri_exts[t][clique_alive[tri_cids[t]]], theta)
+    def rescore(e):
+        k, m = score(p_self[e], el_exts[e][struct_alive[el_sids[e]]], theta)
         methods[m] += 1
         return k
 
-    kappa = nu.copy()  # θ-filtered triangles: κ₀ = −1
-    for i, t in enumerate(np.flatnonzero(alive).tolist()):
+    kappa = nu.copy()  # θ-filtered elements: κ = −1
+    for i, e in enumerate(np.flatnonzero(alive).tolist()):
         if i % 4096 == 0:
             check_deadline()
-        kappa[t] = rescore(t)
-    kappa0 = kappa.copy()
+        kappa[e] = rescore(e)
     level = 0
     while alive.any():
         check_deadline()
@@ -226,15 +248,15 @@ def _peel_driver(tri_pdf, clique_tri, inc_pdf, theta, scorer, deadline: float | 
             check_deadline()
             nu[frontier] = level
             alive[frontier] = False
-            dead = np.unique(np.concatenate([tri_cids[t] for t in frontier.tolist()]))
-            dead = dead[clique_alive[dead]]
-            clique_alive[dead] = False
-            affected = np.unique(clique_tri[dead])
+            dead = np.unique(np.concatenate([el_sids[e] for e in frontier.tolist()]))
+            dead = dead[struct_alive[dead]]
+            struct_alive[dead] = False
+            affected = np.unique(members[dead])
             affected = affected[alive[affected]]
-            for t in affected.tolist():
-                kappa[t] = rescore(t)
+            for e in affected.tolist():
+                kappa[e] = rescore(e)
             frontier = affected[kappa[affected] <= level]
-    return nu, kappa0, methods
+    return nu, methods
 
 
 # ---------------------------------------------------------------------------

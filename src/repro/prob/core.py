@@ -3,54 +3,38 @@
 η-degree of a vertex v: max k such that Pr[at least k of v's incident edges
 exist] ≥ η. Incident edges are independent Bernoullis, so the tail is the
 same Poisson-binomial machinery as the nucleus support (`repro.prob.support`).
-Peeling removes a minimum-η-degree vertex with running-max level; the level
-at removal is the vertex's (k,η)-core number.
+The (1,2) member of the nucleus family peels like the (3,4) one: vertices
+are the elements and edges their support structures in
+:func:`repro.nucleus.local.peel`, with p_self = 1 and each edge's q = p at
+both ends. A vertex's (k,η)-core number is its removal level.
 """
-import heapq
-
 import numpy as np
 import pandas as pd
 
 from repro.graph.connectivity import components_of
-from repro.nucleus.local import NucleusSubgraph
+from repro.graph.edges import edge_arrays
+from repro.nucleus.local import NucleusSubgraph, peel
 from repro.prob.support import kappa_from_tail, pb_tail
 
 
-def _eta_degree(ps: list[float], eta: float) -> int:
-    """max k with Pr[≥ k incident edges] ≥ η (0 when no edge qualifies)."""
-    if not ps:
-        return 0
-    return max(0, kappa_from_tail(1.0, pb_tail(np.asarray(ps)), eta))
+def _eta_score(p_v: float, qs: np.ndarray, eta: float) -> tuple[int, str]:
+    """(η-degree, "dp"): max k with Pr[≥ k incident edges] ≥ η, 0 when no
+    edge qualifies."""
+    if not qs.size:
+        return 0, "dp"
+    return max(0, kappa_from_tail(p_v, pb_tail(qs), eta)), "dp"
 
 
 def eta_core_numbers(edges: pd.DataFrame, eta: float) -> dict:
     """(k,η)-core number per vertex; ``edges`` has columns u, v, p."""
-    inc: dict = {}
-    for u, v, p in edges[["u", "v", "p"]].itertuples(index=False):
-        inc.setdefault(u, {})[(u, v)] = p
-        inc.setdefault(v, {})[(u, v)] = p
-    deg = {x: _eta_degree(list(d.values()), eta) for x, d in inc.items()}
-    heap = [(k, x) for x, k in deg.items()]
-    heapq.heapify(heap)
-    removed: set = set()
-    core: dict = {}
-    level = 0
-    while heap:
-        k, x = heapq.heappop(heap)
-        if x in removed or k != deg[x]:
-            continue
-        level = max(level, k)
-        core[x] = level
-        removed.add(x)
-        for e in list(inc[x]):
-            u, v = e
-            y = v if u == x else u
-            if y not in removed:
-                inc[y].pop(e, None)
-                deg[y] = _eta_degree(list(inc[y].values()), eta)
-                heapq.heappush(heap, (deg[y], y))
-        inc[x] = {}
-    return core
+    u, v, p = edge_arrays(edges)
+    if not len(u):
+        return {}
+    vertices, ends = np.unique(np.stack([u, v], axis=1), return_inverse=True)
+    core, _ = peel(
+        np.ones(len(vertices)), ends.reshape(-1, 2), np.stack([p, p], axis=1), eta, _eta_score
+    )
+    return dict(zip(vertices.tolist(), core.tolist()))
 
 
 def max_eta_cores(edges: pd.DataFrame, eta: float) -> tuple[int, list[NucleusSubgraph]]:

@@ -7,20 +7,25 @@ support is Poisson-binomial over q_i = p(u,w_i)·p(v,w_i) and
 
     κ_T(e) = max { k : p_e · Pr[ζ_e ≥ k] ≥ γ },   −1 if p_e < γ.
 
-Peeling removes a minimum-κ_T edge with running-max level (same generalized-
-core semantics as the nucleus peeler, one level down in the (r,s) hierarchy).
-We use the paper's "contained in ≥ k triangles" convention (footnote 1);
-Huang et al.'s (k−2) convention is the same numbers shifted by 2.
+The (2,3) member of the nucleus family peels like the (3,4) one: edges are
+the elements and triangles their support structures in
+:func:`repro.nucleus.local.peel`. An edge's truss number is its removal
+level. We use the paper's "contained in ≥ k triangles" convention
+(footnote 1); Huang et al.'s (k−2) convention is the same numbers shifted
+by 2.
 """
-import heapq
-
 import numpy as np
 import pandas as pd
 
-from repro.det.adjacency import canon
+from repro.det.adjacency import adj_sets, canon, enumerate_triangles
 from repro.graph.connectivity import components_of
-from repro.nucleus.local import NucleusSubgraph
-from repro.prob.support import EPS, kappa_dp
+from repro.graph.edges import edge_arrays
+from repro.nucleus.local import NucleusSubgraph, peel
+from repro.prob.support import kappa_dp
+
+
+def _gamma_score(p_e: float, qs: np.ndarray, gamma: float) -> tuple[int, str]:
+    return kappa_dp(p_e, qs, gamma), "dp"
 
 
 def gamma_truss_numbers(edges: pd.DataFrame, gamma: float) -> dict:
@@ -28,53 +33,19 @@ def gamma_truss_numbers(edges: pd.DataFrame, gamma: float) -> dict:
 
     Edges with p_e < γ get −1 (they survive at no level).
     """
-    p_edge = {
-        canon(u, v): p for u, v, p in edges[["u", "v", "p"]].itertuples(index=False)
-    }
-    adj: dict = {}
-    for (u, v) in p_edge:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    # per-edge dict: common neighbour w -> q = p(u,w)·p(v,w)
-    side: dict = {}
-    for (u, v), p in p_edge.items():
-        side[(u, v)] = {
-            w: p_edge[canon(u, w)] * p_edge[canon(v, w)] for w in adj[u] & adj[v]
-        }
-
-    def kap(e):
-        if p_edge[e] < gamma - EPS:
-            return -1
-        return kappa_dp(p_edge[e], np.array(list(side[e].values())), gamma)
-
-    kappa = {e: kap(e) for e in p_edge}
-    heap = [(k, e) for e, k in kappa.items()]
-    heapq.heapify(heap)
-    removed: set = set()
-    truss: dict = {}
-    level = 0
-    while heap:
-        k, e = heapq.heappop(heap)
-        if e in removed or k != kappa[e]:
-            continue
-        removed.add(e)
-        if k < 0:
-            truss[e] = -1
-        else:
-            level = max(level, k)
-            truss[e] = level
-        u, v = e
-        adj[u].discard(v)
-        adj[v].discard(u)
-        # every triangle (u,v,w) dies: edge (u,w) loses common neighbour v,
-        # edge (v,w) loses common neighbour u
-        for w in list(side[e]):
-            for other, gone in ((canon(u, w), v), (canon(v, w), u)):
-                if other not in removed:
-                    side[other].pop(gone, None)
-                    kappa[other] = kap(other)
-                    heapq.heappush(heap, (kappa[other], other))
-    return truss
+    u, v, p = edge_arrays(edges)
+    keys = list(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+    eid = {e: i for i, e in enumerate(keys)}
+    # each triangle's edges (ab, ac, bc), and per edge the probability that
+    # the triangle's other two edges exist
+    tris = enumerate_triangles(adj_sets(keys))
+    members = np.array(
+        [(eid[a, b], eid[a, c], eid[b, c]) for a, b, c in tris], np.int64
+    ).reshape(-1, 3)
+    p_ab, p_ac, p_bc = p[members].T
+    ext = np.stack([p_ac * p_bc, p_ab * p_bc, p_ab * p_ac], axis=1)
+    truss, _ = peel(p, members, ext, gamma, _gamma_score)
+    return dict(zip(keys, truss.tolist()))
 
 
 def max_gamma_trusses(

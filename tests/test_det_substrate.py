@@ -4,10 +4,9 @@ from itertools import combinations
 import pytest
 
 from helpers import complete_graph
+from repro.bruteforce import core_numbers, truss_numbers
 from repro.det.adjacency import adj_sets, enumerate_4cliques, enumerate_triangles
-from repro.det.core import core_numbers
 from repro.det.nucleus import is_k_nucleus, nucleus_numbers
-from repro.det.truss import truss_numbers
 
 
 def kn(n):

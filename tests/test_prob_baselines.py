@@ -3,8 +3,12 @@ import pandas as pd
 import pytest
 
 from helpers import complete_graph, edges_list, random_prob_graph
-from repro.det.core import core_numbers
-from repro.det.truss import truss_numbers
+from repro.bruteforce import (
+    core_numbers,
+    eta_core_fixpoint,
+    gamma_truss_fixpoint,
+    truss_numbers,
+)
 from repro.prob.core import eta_core_numbers, max_eta_cores
 from repro.prob.truss import gamma_truss_numbers, max_gamma_trusses
 
@@ -87,6 +91,54 @@ def test_max_gamma_trusses_extraction():
     k, comps = max_gamma_trusses(complete_graph(6, 0.9), 0.1)
     assert k >= 2 and len(comps) == 1
     assert comps[0].vertices == set(range(6))
+
+
+# --- fractional θ: the definitions' deletion fixpoint ----------------------
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.3, 0.6])
+@pytest.mark.parametrize("seed", range(5))
+def test_core_matches_definition_fixpoint(seed, theta):
+    pdf = random_prob_graph(12, 0.5, seed=seed)
+    assert eta_core_numbers(pdf, theta) == eta_core_fixpoint(edges_list(pdf), theta)
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.3, 0.6])
+@pytest.mark.parametrize("seed", range(5))
+def test_truss_matches_definition_fixpoint(seed, theta):
+    pdf = random_prob_graph(12, 0.6, seed=seed)
+    assert gamma_truss_numbers(pdf, theta) == gamma_truss_fixpoint(edges_list(pdf), theta)
+
+
+# --- bad input fails at the boundary ----------------------------------------
+
+BASELINES = [eta_core_numbers, gamma_truss_numbers]
+
+
+@pytest.mark.parametrize("numbers", BASELINES)
+def test_self_loop_rejected(numbers):
+    pdf = pd.concat([complete_graph(4, 0.9), pd.DataFrame({"u": [2], "v": [2], "p": [0.5]})])
+    with pytest.raises(ValueError, match=r"edge \(2, 2\) is a self-loop"):
+        numbers(pdf, 0.1)
+
+
+@pytest.mark.parametrize("numbers", BASELINES)
+@pytest.mark.parametrize("pair", [(1, 2), (2, 1)])
+def test_repeated_edge_rejected(numbers, pair):
+    """(u, v) listed twice, or as (u, v) and (v, u)."""
+    extra = pd.DataFrame({"u": [pair[0]], "v": [pair[1]], "p": [0.5]})
+    pdf = pd.concat([complete_graph(4, 0.9), extra], ignore_index=True)
+    with pytest.raises(ValueError, match=rf"edge \({pair[0]}, {pair[1]}\) is listed twice"):
+        numbers(pdf, 0.1)
+
+
+@pytest.mark.parametrize("numbers", BASELINES)
+@pytest.mark.parametrize("p", [float("nan"), 0.0, -0.2, 1.5])
+def test_probability_outside_unit_interval_rejected(numbers, p):
+    pdf = complete_graph(4, 0.9)
+    pdf.loc[3, "p"] = p  # edge (1, 2)
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) has probability .*\(0, 1\]"):
+        numbers(pdf, 0.1)
 
 
 # --- paper §7.4 shape: nucleus ≥ truss ≥ core on PD/PCC ---------------------
