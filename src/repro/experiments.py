@@ -10,10 +10,9 @@ import time
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
-from repro.datasets import ANALOGS, analog
-from repro.graph.edges import canonical_edges, degrees, oriented
+from repro.datasets import ANALOGS, analog, analog_pdf
+from repro.graph.edges import edge_arrays, oriented
 from repro.graph.triangles import triangles
 from repro.nucleus.global_ import g_decomposition
 from repro.nucleus.local import collect_structures, ell_nuclei, local_decomposition
@@ -29,21 +28,18 @@ def table1_stats(
     """Table 1: |V|, |E|, d_max, p_avg, |△| for every dataset analog."""
     rows = []
     for name in names or list(ANALOGS):
-        e = canonical_edges(analog(spark, name, sf=sf)).cache()
-        stats = e.agg(
-            F.count("*").alias("E"), F.round(F.avg("p"), 3).alias("p_avg")
-        ).collect()[0]
-        nv = (
-            e.select(F.col("u").alias("x"))
-            .unionAll(e.select(F.col("v").alias("x")))
-            .distinct()
-            .count()
-        )
-        dmax = degrees(e).agg(F.max("deg")).collect()[0][0]
-        ntri = triangles(oriented(e)).count()
-        e.unpersist()
+        edge_pdf = analog_pdf(name, sf=sf)
+        u, v, p = edge_arrays(edge_pdf)
+        deg = np.unique(np.concatenate([u, v]), return_counts=True)[1]
         rows.append(
-            dict(graph=name, V=nv, E=stats.E, d_max=dmax, p_avg=stats.p_avg, triangles=ntri)
+            dict(
+                graph=name,
+                V=len(deg),
+                E=len(u),
+                d_max=int(deg.max()),
+                p_avg=round(float(p.mean()), 3),
+                triangles=triangles(oriented(spark.createDataFrame(edge_pdf))).count(),
+            )
         )
     return pd.DataFrame(rows)
 
@@ -129,7 +125,7 @@ def table4_cohesiveness(
     sizes, PD, PCC and decomposition time, θ = γ = η ∈ {0.1, 0.3}."""
     rows = []
     for name in names:
-        edge_pdf = canonical_edges(analog(spark, name, sf=sf)).toPandas()
+        edge_pdf = analog_pdf(name, sf=sf)
         edge_df = spark.createDataFrame(edge_pdf)
         for theta in thetas:
             t0 = time.perf_counter()

@@ -1,62 +1,31 @@
-"""Canonical probabilistic edge DataFrames and degree-based orientation.
+"""The probabilistic edge list: its input check and its degree orientation.
 
-All downstream enumeration assumes the canonical form produced by
-:func:`canonical_edges`: undirected edges stored once as (u, v, p) with
-u < v (vertex ids), 0 < p <= 1, no duplicates, no self-loops.
+Every layer reads edges through :func:`edge_arrays`, which checks the
+canonical form and repairs nothing: undirected edges listed once, in either
+orientation, as (u, v, p) with 0 < p <= 1 and no self-loops.
 
-Triangle / 4-clique enumeration uses the standard degree orientation: each
-undirected edge is directed from the endpoint of smaller (degree, id) to the
-larger. Orienting by a total order bounded by degeneracy keeps the wedge join
-output near-linear in practice (a hub of degree d contributes O(d^2) wedges
-undirected but only pairs among its *higher-ordered* neighbours when
-oriented). The order is compared pairwise, as ``(deg, id)`` structs, so no
-global sort or rank numbering is needed.
-
-The driver-side baselines read pandas edge frames through
-:func:`edge_arrays`, which checks the same form and repairs nothing.
+Triangle / 4-clique enumeration uses the standard degree orientation
+(Chiba & Nishizeki, 1985): each undirected edge is directed from the
+endpoint of smaller (degree, id) to the larger. Orienting by a total order
+bounded by degeneracy keeps the wedge join output near-linear in practice (a
+hub of degree d contributes O(d^2) wedges undirected but only pairs among
+its *higher-ordered* neighbours when oriented). The orientation needs only
+the degree at each end of an edge, so :func:`orient` computes it with numpy
+on the driver, and :func:`oriented` hands the O(|E|) result back to Spark,
+small enough for the enumeration joins to broadcast.
 """
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-
-def canonical_edges(df: DataFrame) -> DataFrame:
-    """Normalize an edge DataFrame with columns (u, v, p) to canonical form.
-
-    Self-loops are dropped and duplicate edges keep their largest p. A p
-    that is null, NaN, ≤ 0 or > 1 fails the job that reads the edges, with
-    the offending edge in the message.
-    """
-    p = F.col("p").cast("double")
-    bad = p.isNull() | F.isnan(p) | (p <= 0) | (p > 1)
-    checked = F.when(
-        bad,
-        F.raise_error(
-            F.format_string(
-                "edge (%s, %s) has probability %s; p must be in (0, 1]",
-                F.col("u").cast("string"),
-                F.col("v").cast("string"),
-                p.cast("string"),
-            )
-        ),
-    ).otherwise(p)
-    return (
-        df.select(
-            F.least("u", "v").alias("u"),
-            F.greatest("u", "v").alias("v"),
-            checked.alias("p"),
-        )
-        .filter(F.col("u") != F.col("v"))
-        .groupBy("u", "v")
-        .agg(F.max("p").alias("p"))
-    )
+#: Spark schema of an oriented edge frame (:func:`orient`)
+ORIENTED = "src long, dst long, p double, dd long"
 
 
 def edge_arrays(edges: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The u, v and p columns of a pandas edge frame, each edge listed once
-    in either orientation. A p that is NaN, ≤ 0 or > 1, a self-loop, or an
-    edge listed twice raises ValueError naming the edge."""
+    in either orientation. A p that is null, NaN, ≤ 0 or > 1, a self-loop,
+    or an edge listed twice raises ValueError naming the edge."""
     u, v = edges.u.to_numpy(), edges.v.to_numpy()
     p = edges.p.to_numpy(np.float64)
     pair = pd.DataFrame({"lo": np.minimum(u, v), "hi": np.maximum(u, v)})
@@ -71,28 +40,29 @@ def edge_arrays(edges: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return u, v, p
 
 
-def degrees(edges: DataFrame) -> DataFrame:
-    """Vertex degrees (vid, deg) of a canonical edge DataFrame."""
-    ends = edges.select(F.col("u").alias("vid")).unionAll(
-        edges.select(F.col("v").alias("vid"))
+def orient(edges: pd.DataFrame) -> pd.DataFrame:
+    """Directed edges (src, dst, p, dd) of a pandas (u, v, p) edge frame,
+    checked by :func:`edge_arrays`: each edge once, from the endpoint of
+    smaller (degree, id) to the larger, with the degree dd of dst (the
+    triangle wedge filter orders two out-neighbours by it)."""
+    u, v, p = edge_arrays(edges)
+    u, v = u.astype(np.int64), v.astype(np.int64)
+    ends = np.unique(np.concatenate([u, v]), return_inverse=True)[1]
+    deg = np.bincount(ends)
+    du, dv = deg[ends[: len(u)]], deg[ends[len(u) :]]
+    fwd = (du < dv) | ((du == dv) & (u < v))
+    return pd.DataFrame(
+        {
+            "src": np.where(fwd, u, v),
+            "dst": np.where(fwd, v, u),
+            "p": p,
+            "dd": np.where(fwd, dv, du),
+        }
     )
-    return ends.groupBy("vid").agg(F.count("*").alias("deg"))
 
 
 def oriented(edge_df: DataFrame) -> DataFrame:
-    """Directed edges (src, dst, p, dd) of a (u, v, p) edge DataFrame: each
-    canonical edge once, from the endpoint of smaller (degree, id) to the
-    larger, with the degree dd of dst (the triangle wedge filter orders two
-    out-neighbours by it)."""
-    edges = canonical_edges(edge_df)
-    deg = degrees(edges)
-    e = edges.join(
-        deg.select(F.col("vid").alias("u"), F.col("deg").alias("du")), "u"
-    ).join(deg.select(F.col("vid").alias("v"), F.col("deg").alias("dv")), "v")
-    fwd = F.struct("du", "u") < F.struct("dv", "v")
-    return e.select(
-        F.when(fwd, F.col("u")).otherwise(F.col("v")).alias("src"),
-        F.when(fwd, F.col("v")).otherwise(F.col("u")).alias("dst"),
-        "p",
-        F.when(fwd, F.col("dv")).otherwise(F.col("du")).alias("dd"),
-    )
+    """:func:`orient` of a Spark (u, v, p) edge DataFrame, collected in one
+    Spark action and returned as a Spark DataFrame (:data:`ORIENTED`)."""
+    pdf = orient(edge_df.select("u", "v", "p").toPandas())
+    return edge_df.sparkSession.createDataFrame(pdf, ORIENTED)

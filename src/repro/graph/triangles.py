@@ -5,6 +5,11 @@ the wedge join pairs two out-edges of the lowest vertex x, and the closing
 join checks the oriented edge y→z. The row carries the three edge
 probabilities and the triangle existence probability
 Pr(△) = p_xy · p_xz · p_yz.
+
+The oriented edges are the driver's O(|E|) list
+(:func:`repro.graph.edges.oriented`), so the edge side of both joins is
+broadcast: a hint, which holds whatever ``autoBroadcastJoinThreshold`` the
+session sets, and no join shuffles.
 """
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -29,13 +34,13 @@ def triangles(d: DataFrame) -> DataFrame:
         F.col("p").alias("p_xz"),
         F.col("dd").alias("dz"),
     )
-    wedges = e1.join(e2, "x").filter(F.struct("dy", "y") < F.struct("dz", "z"))
+    wedges = e1.join(F.broadcast(e2), "x").filter(F.struct("dy", "y") < F.struct("dz", "z"))
     closing = d.select(
         F.col("src").alias("y"),
         F.col("dst").alias("z"),
         F.col("p").alias("p_yz"),
     )
-    t = wedges.join(closing, ["y", "z"])
+    t = wedges.join(F.broadcast(closing), ["y", "z"])
     return t.select(
         "x",
         "y",

@@ -2,11 +2,14 @@
 
 Pipeline:
 
-1. **Enumeration (Spark, distributed)** — triangles and 4-cliques of one
-   oriented edge plan (`repro.graph`), collected once each into pandas
-   frames by :func:`collect_structures`, which then derives the
-   triangle↔clique incidence with extension probabilities Pr(E_i) on the
-   driver. This is the memory- and shuffle-heavy part.
+1. **Enumeration (Spark, distributed)** — :func:`collect_structures`
+   collects the edge list once, checks and orients it on the driver
+   (`repro.graph.edges`), bounds the triangles and 4-cliques it can yield
+   against the driver's memory, and broadcasts it to the triangle and
+   4-clique joins (`repro.graph`). Their results are collected once each
+   into pandas frames, and the triangle↔clique incidence with extension
+   probabilities Pr(E_i) is derived on the driver. This is the memory-heavy
+   part.
 2. **Initial κ scoring** — for every triangle, κ = max k with
    Pr(△)·Pr[ζ ≥ k] ≥ θ, using either the exact Poisson-binomial DP
    (scorer="dp") or the paper's statistical approximations with DP fallback
@@ -45,7 +48,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.graph.cliques import four_cliques
 from repro.graph.connectivity import union_find
-from repro.graph.edges import oriented
+from repro.graph.edges import ORIENTED, orient
 from repro.graph.triangles import triangles
 from repro.prob.approx import kappa_ap
 from repro.prob.support import EPS, kappa_dp
@@ -108,8 +111,16 @@ def collect_structures(spark: SparkSession, edge_df: DataFrame):
     Triangles and cliques are the two Spark collects; both frames are sorted
     by their vertex columns, so row order (and the FG/WG candidate numbering
     built on it) does not depend on Spark's partitioning. ``tid`` and ``cid``
-    are the row numbers."""
-    d = oriented(edge_df)
+    are the row numbers.
+
+    The edges are collected first and checked by
+    :func:`repro.graph.edges.edge_arrays`: a self-loop, an edge listed twice
+    or a p outside (0, 1] raises ValueError naming the edge. So does an
+    input whose triangles and 4-cliques may not fit the driver
+    (:func:`check_size`), before any of them is enumerated."""
+    edges = orient(edge_df.select("u", "v", "p").toPandas())
+    check_size(spark, edges.src.to_numpy())
+    d = spark.createDataFrame(edges, ORIENTED)
     tri_df = triangles(d)
     tri_pdf = (
         tri_df.select("x", "y", "z", "p_tri")
@@ -122,6 +133,38 @@ def collect_structures(spark: SparkSession, edge_df: DataFrame):
     )
     clique_pdf.insert(0, "cid", np.arange(len(clique_pdf), dtype=np.int64))
     return tri_pdf, clique_pdf, _incidence(tri_pdf, clique_pdf)
+
+
+#: driver bytes one collected triangle or 4-clique row may hold at once:
+#: its Arrow batch, its pandas row and sorted copy, and a clique's four
+#: incidence rows
+ROW_BYTES = 256
+
+
+def row_budget(spark: SparkSession) -> int:
+    """The triangle and 4-clique rows the driver may collect:
+    ``spark.driver.memory`` over :data:`ROW_BYTES`."""
+    mem = spark.sparkContext.getConf().get("spark.driver.memory", "1g")
+    mb = spark.sparkContext._jvm.org.apache.spark.util.Utils.memoryStringToMb(mem)
+    return (mb << 20) // ROW_BYTES
+
+
+def check_size(spark: SparkSession, src: np.ndarray) -> None:
+    """Raise ValueError when the triangles and 4-cliques of an oriented edge
+    list may exceed :func:`row_budget`. ``src`` holds each oriented edge's
+    source; a vertex with out-degree d⁺ closes at most C(d⁺, 2) triangles
+    and C(d⁺, 3) 4-cliques as the lowest vertex, and each triangle and
+    4-clique has exactly one lowest vertex."""
+    d = np.unique(src, return_counts=True)[1].astype(np.int64)
+    tris = int((d * (d - 1) // 2).sum())
+    cliques = int((d * (d - 1) * (d - 2) // 6).sum())
+    budget = row_budget(spark)
+    if tris + cliques > budget:
+        raise ValueError(
+            f"the graph may have up to {tris:,} triangles and {cliques:,} 4-cliques, "
+            f"more than the {budget:,} rows spark.driver.memory allows the driver "
+            f"to collect ({ROW_BYTES} bytes a row)"
+        )
 
 
 _CLIQUE_EDGE_COLS = [

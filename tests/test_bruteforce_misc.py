@@ -6,9 +6,14 @@ import pandas as pd
 import pytest
 
 from helpers import complete_graph, edges_list
-from repro.bruteforce import is_k_nucleus_def3, local_nu_reference, tail_probability
+from repro.bruteforce import (
+    in_some_k_nucleus,
+    is_k_nucleus_def3,
+    local_nu_reference,
+    tail_probability,
+)
 from repro.det.adjacency import adj_sets, canon, clique_triangles
-from repro.det.nucleus import is_k_nucleus
+from repro.det.nucleus import is_k_nucleus, nucleus_numbers
 from repro.experiments import _nu_errors
 from repro.nucleus.local import NucleusSubgraph
 from repro.prob.support import pb_tail
@@ -117,6 +122,23 @@ def test_is_k_nucleus_matches_definition3_on_clique_unions(seed):
         }
         for k in range(4):
             assert is_k_nucleus(edges, k) == is_k_nucleus_def3(edges, k), (sorted(edges), k)
+
+
+# --- w-indicator: det.nucleus.nucleus_numbers vs Definition 3 -------------
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_literal_w_indicator_matches_peel_numbers(seed):
+    """On random worlds of 5–9 vertices, a triangle lies in some induced
+    k-nucleus (tried vertex subset by vertex subset against Definition 3)
+    exactly when the deterministic peel gives it ν ≥ k, for k = 1..3."""
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        n, dens = int(rng.integers(5, 10)), rng.uniform(0.4, 0.9)
+        world = {e for e in combinations(range(n), 2) if rng.random() < dens}
+        for tri, nu in nucleus_numbers(world).items():
+            for k in (1, 2, 3):
+                assert in_some_k_nucleus(world, tri, k) == (nu >= k), (sorted(world), tri, k)
 
 
 def test_clique_triangles_count():

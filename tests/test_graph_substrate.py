@@ -1,6 +1,9 @@
-"""Spark graph substrate vs the DuckDB oracle: canonical edges, degrees,
-orientation, triangle and 4-clique enumeration, and the driver-built
-incidence of ``collect_structures``."""
+"""Spark graph substrate vs the DuckDB oracle: the edge input check,
+orientation, triangle and 4-clique enumeration, their plans and job count,
+the size guard, and the driver-built incidence of ``collect_structures``."""
+import itertools
+from contextlib import contextmanager
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -8,10 +11,13 @@ from pyspark.sql import functions as F
 from helpers import CLIQUE_SQL, TRIANGLE_SQL, complete_graph, random_prob_graph
 from repro.datasets import analog_pdf
 from repro.graph.cliques import four_cliques
-from repro.graph.edges import canonical_edges, degrees, oriented
+from repro.graph.edges import oriented
 from repro.graph.triangles import triangles
+from repro.nucleus import local
 from repro.nucleus.local import collect_structures
 from repro.oracle import assert_equivalent
+
+_groups = itertools.count()
 
 
 def spark_edges(spark, pdf):
@@ -42,36 +48,63 @@ def sorted_triangles(tri_df):
     return tri_df.select(v[0].alias("a"), v[1].alias("b"), v[2].alias("c"), "p_tri")
 
 
-# --- canonicalization -------------------------------------------------------
+# --- input check (collect_structures raises before enumerating) -------------
 
 
-def test_canonical_flips_and_dedupes(spark):
-    raw = pd.DataFrame(
-        [(2, 1, 0.5), (1, 2, 0.8), (3, 3, 0.9), (4, 5, 0.1)],
-        columns=["u", "v", "p"],
+@contextmanager
+def job_group(spark):
+    """Run the body in a Spark job group of its own; yields a function that
+    counts the jobs the group has submitted."""
+    sc = spark.sparkContext
+    group = f"test-jobs-{next(_groups)}"
+    sc.setJobGroup(group, group)
+    try:
+        yield lambda: len(sc.statusTracker().getJobIdsForGroup(group))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+
+
+def test_collect_rejects_self_loop(spark):
+    raw = spark.createDataFrame([(0, 1, 0.5), (2, 2, 0.9), (0, 2, 1.0)], "u long, v long, p double")
+    with pytest.raises(ValueError, match=r"edge \(2, 2\) is a self-loop"):
+        collect_structures(spark, raw)
+
+
+@pytest.mark.parametrize("second", [(1, 2, 0.8), (2, 1, 0.8)], ids=["same", "flipped"])
+def test_collect_rejects_repeated_edge(spark, second):
+    """A pair listed twice raises, in either orientation, whatever its p."""
+    raw = spark.createDataFrame(
+        [(1, 2, 0.5), (4, 5, 0.1), second], "u long, v long, p double"
     )
-    got = canonical_edges(spark_edges(spark, raw)).toPandas()
-    got = got.sort_values(["u", "v"]).reset_index(drop=True)
-    assert got.values.tolist() == [[1, 2, 0.8], [4, 5, 0.1]]
-
-
-def test_degrees_vs_duckdb(spark):
-    pdf = random_prob_graph(30, 0.3, seed=1)
-    e = canonical_edges(spark_edges(spark, pdf))
-    deg = degrees(e).withColumnRenamed("deg", "d")
-    assert_equivalent(
-        deg,
-        "SELECT vid, count(*)::BIGINT AS d FROM "
-        "(SELECT u AS vid FROM e UNION ALL SELECT v FROM e) GROUP BY vid",
-        e=pdf,
-    )
+    with pytest.raises(ValueError, match=rf"edge \({second[0]}, {second[1]}\) is listed twice"):
+        collect_structures(spark, raw)
 
 
 @pytest.mark.parametrize("bad", [None, float("nan"), 0.0, -0.5, 1.5])
 def test_canonical_rejects_bad_probability(spark, bad):
     raw = spark.createDataFrame([(0, 1, 0.5), (1, 2, bad), (0, 2, 1.0)], "u long, v long, p double")
-    with pytest.raises(Exception, match=r"edge \(1, 2\) has probability .*p must be in \(0, 1\]"):
-        canonical_edges(raw).collect()
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) has probability .*p must be in \(0, 1\]"):
+        collect_structures(spark, raw)
+
+
+def test_size_guard_raises_after_one_edge_collect(spark, monkeypatch):
+    """K6 oriented has out-degrees 5..0: at most 10+6+3+1 = 20 triangles and
+    10+4+1 = 15 4-cliques. A budget of 34 rows fails before enumeration."""
+    monkeypatch.setattr(local, "row_budget", lambda spark: 34)
+    k6 = spark_edges(spark, complete_graph(6, 0.5))
+    with job_group(spark) as jobs:
+        with pytest.raises(ValueError, match="20 triangles and 15 4-cliques.* 34 rows"):
+            collect_structures(spark, k6)
+    assert jobs() == 1
+    monkeypatch.setattr(local, "row_budget", lambda spark: 35)
+    assert len(collect_structures(spark, k6)[1]) == 15
+
+
+def test_row_budget_follows_driver_memory(spark):
+    """The conftest session sets spark.driver.memory in whole g or m."""
+    mem = spark.sparkContext.getConf().get("spark.driver.memory")
+    shift = {"g": 30, "m": 20}[mem[-1]]
+    assert local.row_budget(spark) == (int(mem[:-1]) << shift) // local.ROW_BYTES
 
 
 def test_oriented_preserves_edges_and_orients_by_degree_then_id(spark):
@@ -86,11 +119,20 @@ def test_oriented_preserves_edges_and_orients_by_degree_then_id(spark):
 
 
 def test_enumeration_plan_has_no_window(spark):
-    """Orientation compares (degree, id) pairs; no global rank window."""
+    """Orientation compares (degree, id) pairs; no global rank window. The
+    edge side of all five joins is broadcast by a hint, so no join shuffles
+    though the session disables automatic broadcasts, and
+    ``collect_structures`` runs in at most 8 Spark jobs."""
+    assert spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
     pdf = random_prob_graph(20, 0.4, seed=1)
     for df in (tris_of(spark, pdf), cliques_of(spark, pdf)):
         plan = df._jdf.queryExecution().executedPlan().toString()
         assert "Window" not in plan
+        assert "BroadcastHashJoin" in plan
+        assert "SortMergeJoin" not in plan
+    with job_group(spark) as jobs:
+        assert len(collect_structures(spark, spark_edges(spark, pdf))[1]) > 0
+    assert jobs() <= 8
 
 
 # --- triangles vs DuckDB ----------------------------------------------------
