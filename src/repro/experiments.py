@@ -99,8 +99,8 @@ def table3_distributions(
             err, pct = _nu_errors(dp.nu, ap.nu)
             row[f"avg_err@{theta}"] = round(err, 5)
             row[f"pct_err@{theta}"] = round(pct, 3)
-        row["avg_time_dp_s"] = round(t_dp / len(thetas), 2)
-        row["avg_time_ap_s"] = round(t_ap / len(thetas), 2)
+        row["avg_time_dp_s"] = round(t_dp / len(thetas), 3)
+        row["avg_time_ap_s"] = round(t_ap / len(thetas), 3)
         rows.append(row)
     return pd.DataFrame(rows)
 
@@ -148,7 +148,7 @@ def table4_cohesiveness(
                     k_Nmax=d.k_max, k_Tmax=k_t, k_Cmax=k_c,
                     PD_N=round(sn["PD"], 3), PD_T=round(st["PD"], 3), PD_C=round(sc["PD"], 3),
                     PCC_N=round(sn["PCC"], 3), PCC_T=round(st["PCC"], 3), PCC_C=round(sc["PCC"], 3),
-                    time_N=round(t_n, 2), time_T=round(t_t, 2), time_C=round(t_c, 2),
+                    time_N=round(t_n, 3), time_T=round(t_t, 3), time_C=round(t_c, 3),
                 )
             )
     return pd.DataFrame(rows)
@@ -221,7 +221,7 @@ def table6_enwiki_runtime(
                     spark, edge_df, theta, scorer=scorer, budget_s=budget_s,
                     structures=structs,
                 )
-                row[f"{scorer}_s"] = round(time.perf_counter() - t0, 1)
+                row[f"{scorer}_s"] = round(time.perf_counter() - t0, 3)
                 row[f"{scorer}_kmax"] = d.k_max
             except TimeoutError:
                 row[f"{scorer}_s"] = "N.P."
@@ -255,6 +255,6 @@ def decomposition_timings(
         w_decomposition(spark, d, n=n, seed=seed)
         t_wg = t_l + (time.perf_counter() - t0)
         rows.append(
-            dict(graph=name, L_s=round(t_l, 2), FG_s=round(t_fg, 2), WG_s=round(t_wg, 2))
+            dict(graph=name, L_s=round(t_l, 3), FG_s=round(t_fg, 3), WG_s=round(t_wg, 3))
         )
     return pd.DataFrame(rows)

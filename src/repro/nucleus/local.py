@@ -12,17 +12,20 @@ Pipeline:
    part.
 2. **Initial κ scoring** — for every triangle, κ = max k with
    Pr(△)·Pr[ζ ≥ k] ≥ θ, using either the exact Poisson-binomial DP
-   (scorer="dp") or the paper's statistical approximations with DP fallback
-   (scorer="ap"), computed in-process from the collected incidence.
+   (scorer="dp", `repro.prob.support.kappa_dp`) or the paper's statistical
+   approximations with DP fallback (scorer="ap",
+   `repro.prob.approx.kappa_ap`). All triangles are scored as one batch:
+   their qs are gathered from CSR arrays of the incidence, and each kernel
+   runs on zero-padded rows bucketed by width W = 2^⌈log₂ c⌉.
 3. **Peeling** — :func:`peel`, level-synchronous batch peeling (the batch
    analog of Algorithm 1's min-peel; Batagelj–Zaveršnik running-max level
    semantics): at each level remove every triangle whose current κ ≤ level
-   (cascading to a fixpoint), kill the 4-cliques containing them, rescore
-   only the survivors whose clique multiset shrank. ν(△) = removal level.
-   :func:`peel` knows elements and support structures, not triangles and
-   cliques, so the (k,η)-core (vertices in edges, `repro.prob.core`) and
-   the (k,γ)-truss (edges in triangles, `repro.prob.truss`) baselines run
-   on it too.
+   (cascading to a fixpoint), kill the 4-cliques containing them, and
+   rescore the survivors whose clique multiset shrank, one batch per round.
+   ν(△) = removal level. :func:`peel` knows elements and support
+   structures, not triangles and cliques, so the (k,η)-core (vertices in
+   edges, `repro.prob.core`) and the (k,γ)-truss (edges in triangles,
+   `repro.prob.truss`) baselines run on it too.
 4. **Extraction** — :func:`ell_nuclei` takes, for one k, the s-connected
    unions of 4-cliques whose four triangles all have ν ≥ k. This module is
    the only one that reads the ``clique_pdf`` row layout: FG and WG select
@@ -41,6 +44,7 @@ dead from the start.
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -51,23 +55,16 @@ from repro.graph.connectivity import union_find
 from repro.graph.edges import ORIENTED, orient
 from repro.graph.triangles import triangles
 from repro.prob.approx import kappa_ap
-from repro.prob.support import EPS, kappa_dp
-
-
-def make_scorer(scorer: str):
-    """(p_tri, qs, theta) -> (κ, method-name) kernel for "dp" or "ap"."""
-    if scorer == "dp":
-        return lambda p_tri, qs, theta: (kappa_dp(p_tri, np.asarray(qs), theta), "dp")
-    if scorer == "ap":
-        return lambda p_tri, qs, theta: kappa_ap(p_tri, np.asarray(qs), theta)
-    raise ValueError(f"unknown scorer {scorer!r}")
+from repro.prob.support import EPS, Batch, kappa_dp
 
 
 @dataclass
 class LocalDecomposition:
     """Result of ℓ-NuDecomp: ν per triangle plus the structures needed to
     extract ℓ-(k,θ)-nuclei and to seed the FG/WG algorithms. ``nu`` is an
-    int array indexed by tid."""
+    int array indexed by tid. ``methods`` counts the triangles each scorer
+    method scored, ``rounds`` the peel's removal rounds and ``rescored`` the
+    triangles it rescored after the initial scoring."""
 
     theta: float
     nu: np.ndarray
@@ -75,6 +72,8 @@ class LocalDecomposition:
     clique_pdf: pd.DataFrame  # cid, x, y, z, w, 6 edge probs
     clique_tri: np.ndarray  # (C × 4) tids of each clique's triangles
     methods: Counter = field(default_factory=Counter)
+    rounds: int = 0
+    rescored: int = 0
 
     @property
     def k_max(self) -> int:
@@ -218,15 +217,24 @@ def local_decomposition(
     re-enumeration.
     """
     deadline = None if budget_s is None else time.monotonic() + budget_s
+    if scorer == "dp":
+        def score(p_rows, batch, theta):
+            return kappa_dp(p_rows, batch, theta), Counter(dp=len(batch))
+    elif scorer == "ap":
+        score = kappa_ap
+    else:
+        raise ValueError(f"unknown scorer {scorer!r}")
     if structures is None:
         structures = collect_structures(spark, edge_df)
     tri_pdf, clique_pdf, inc_pdf = structures
     clique_tri = inc_pdf.tid.to_numpy().reshape(4, -1).T
     ext = inc_pdf.ext_prob.to_numpy().reshape(4, -1).T
-    nu, methods = peel(
-        tri_pdf.p_tri.to_numpy(), clique_tri, ext, theta, make_scorer(scorer), deadline
+    nu, methods, rounds, rescored = peel(
+        tri_pdf.p_tri.to_numpy(), clique_tri, ext, theta, score, deadline
     )
-    return LocalDecomposition(theta, nu, tri_pdf, clique_pdf, clique_tri, methods)
+    return LocalDecomposition(
+        theta, nu, tri_pdf, clique_pdf, clique_tri, methods, rounds, rescored
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +242,39 @@ def local_decomposition(
 # ---------------------------------------------------------------------------
 
 
-def peel(p_self, members, ext, theta, score, deadline: float | None = None):
-    """Level-synchronous probabilistic peel: ν of every element, and the
-    scorer's method mix.
+class Peel(NamedTuple):
+    """What :func:`peel` returns: ν per element, the scorer's method mix,
+    the removal rounds and the elements rescored after the initial
+    scoring."""
+
+    nu: np.ndarray
+    methods: Counter
+    rounds: int
+    rescored: int
+
+
+def peel(p_self, members, ext, theta, score, deadline: float | None = None) -> Peel:
+    """Level-synchronous probabilistic peel: ν of every element, the
+    scorer's method mix and the peel's counts.
 
     The elements are 0..N−1, element i present with probability
     ``p_self[i]``. Row j of the (S × s) int array ``members`` lists the s
     elements of support structure j, and ``ext[j, i]`` is Pr(structure j |
-    element ``members[j, i]``). An element's score is
-    ``score(p_self, qs, theta) -> (κ, method)``, with qs the Pr(structure |
-    element) of its surviving structures, read in column-major order of
-    ``members`` (position first, then row). A structure dies with the first
-    of its elements to go. Elements with p_self < θ get ν = −1, and their
-    structures are dead from the start.
+    element ``members[j, i]``). The scorer scores a batch of elements at
+    once: ``score(p_rows, batch, theta) -> (κ array, method Counter)``, with
+    ``batch`` a :class:`~repro.prob.support.Batch` whose row r holds the
+    Pr(structure | element) of element r's surviving structures, in
+    column-major order of ``members`` (position first, then row). A
+    structure dies with the first of its elements to go. Elements with
+    p_self < θ get ν = −1, and their structures are dead from the start.
 
     At each level remove every element whose current κ ≤ level, cascading
-    to a fixpoint, kill the structures containing them and rescore only the
-    survivors that lost one; ν is the removal level. ``deadline`` is a
-    ``time.monotonic()`` instant past which the peel raises TimeoutError.
+    to a fixpoint, kill the structures containing them and rescore the
+    survivors that lost one; each removal is one round, and its affected
+    survivors are scored as one batch. ν is the removal level.
+    ``deadline`` is a ``time.monotonic()`` instant past which the peel
+    raises TimeoutError; it is checked after the initial scoring and once
+    per round.
     """
     methods: Counter = Counter()
     alive = p_self >= theta - EPS
@@ -263,43 +286,49 @@ def peel(p_self, members, ext, theta, score, deadline: float | None = None):
 
     # a structure is alive only while all its elements are alive
     struct_alive = alive[members].all(axis=1)
-    # each element's structures and Pr(structure | element), column-major,
-    # so the scorer always sees an element's surviving qs in the same order
+    # CSR over elements: row e of ``incident`` holds element e's
+    # Pr(structure | element), and the same slots of ``sids`` the structure
+    # ids, column-major, so the scorer always sees an element's surviving qs
+    # in the same order
     elem = members.T.ravel()
     order = np.argsort(elem, kind="stable")
-    bounds = np.cumsum(np.bincount(elem, minlength=len(p_self)))[:-1]
-    sids = np.tile(np.arange(len(members)), members.shape[1])
-    el_sids = np.split(sids[order], bounds)
-    el_exts = np.split(ext.T.ravel()[order], bounds)
+    incident = Batch(ext.T.ravel()[order], np.bincount(elem, minlength=len(p_self)))
+    sids = np.tile(np.arange(len(members)), members.shape[1])[order]
 
-    def rescore(e):
-        k, m = score(p_self[e], el_exts[e][struct_alive[el_sids[e]]], theta)
-        methods[m] += 1
-        return k
+    def rescore(rows):
+        at = incident.positions(rows)
+        live = struct_alive[sids[at]]
+        owner = np.repeat(np.arange(len(rows)), incident.c[rows])
+        batch = Batch(incident.q[at[live]], np.bincount(owner[live], minlength=len(rows)))
+        kappa, counts = score(p_self[rows], batch, theta)
+        methods.update(counts)
+        return kappa
 
     kappa = nu.copy()  # θ-filtered elements: κ = −1
-    for i, e in enumerate(np.flatnonzero(alive).tolist()):
-        if i % 4096 == 0:
-            check_deadline()
-        kappa[e] = rescore(e)
+    rows = np.flatnonzero(alive)
+    if rows.size:
+        kappa[rows] = rescore(rows)
+    check_deadline()
+    rounds = rescored = 0
     level = 0
     while alive.any():
-        check_deadline()
         level = max(level, int(kappa[alive].min()))
         frontier = np.flatnonzero(alive & (kappa <= level))
         while frontier.size:
-            check_deadline()
+            rounds += 1
             nu[frontier] = level
             alive[frontier] = False
-            dead = np.unique(np.concatenate([el_sids[e] for e in frontier.tolist()]))
+            dead = np.unique(sids[incident.positions(frontier)])
             dead = dead[struct_alive[dead]]
             struct_alive[dead] = False
             affected = np.unique(members[dead])
             affected = affected[alive[affected]]
-            for e in affected.tolist():
-                kappa[e] = rescore(e)
+            if affected.size:
+                kappa[affected] = rescore(affected)
+                rescored += affected.size
             frontier = affected[kappa[affected] <= level]
-    return nu, methods
+            check_deadline()
+    return Peel(nu, methods, rounds, rescored)
 
 
 # ---------------------------------------------------------------------------

@@ -11,119 +11,181 @@ hyperparameter selector with exact-DP fallback:
     (5) otherwise                     → exact DP
 
 with the paper's values A=200, B=100, C=0.25, D=0.9.
+
+:func:`kappa_ap` scores a whole :class:`~repro.prob.support.Batch` at once:
+the cascade runs on per-row moments, and each method's tail is computed for
+all its rows of one width bucket together. Each tail function takes one
+row's parameters (a 1-D tail of length c + 1) or arrays of them (a
+(rows × c + 1) array); a row's tail up to its own c is the same float either
+way, and :func:`~repro.prob.support.kappa_from_tail` masks the rest.
 """
 import math
+from collections import Counter
 
 import numpy as np
 
-from repro.prob.support import kappa_from_tail, pb_tail
+from repro.prob.support import Batch, kappa_from_tail, pb_tail, tail_from_pmf
 
 A, B, C, D = 200, 100, 0.25, 0.9
 
+#: the selector's methods; the cascade returns indices into this tuple
+METHODS = ("dp", "clt", "poisson", "tpoisson", "binomial")
+
 _erf = np.vectorize(math.erf, otypes=[np.float64])
-_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
 
 
-def poisson_tail(lam: float, c: int) -> np.ndarray:
-    """tail[k] = Pr[Poisson(λ) ≥ k], k = 0..c (Eq. 8/10 recursion)."""
-    if lam <= 0:
-        t = np.zeros(c + 1)
-        t[0] = 1.0
-        return t
+def _rows(*params):
+    """The parameters as 1-D arrays, and whether they were scalars."""
+    one = np.ndim(params[0]) == 0
+    return one, [np.atleast_1d(np.asarray(x, np.float64)) for x in params]
+
+
+def poisson_tail(lam, c: int) -> np.ndarray:
+    """tail[k] = Pr[Poisson(λ) ≥ k], k = 0..c (Eq. 8/10 recursion): one
+    math.exp per λ, then a running product along the row."""
+    one, (lam,) = _rows(lam)
     ks = np.arange(1, c + 1)
-    pmf = np.concatenate(([math.exp(-lam)], math.exp(-lam) * np.cumprod(lam / ks)))
-    cdf_below = np.concatenate(([0.0], np.cumsum(pmf[:-1])))  # Pr[ζ < k]
-    return np.clip(1.0 - cdf_below, 0.0, 1.0)
+    e = np.array([math.exp(-x) for x in lam.tolist()])[:, None]
+    pmf = np.concatenate([e, e * np.cumprod(lam[:, None] / ks, axis=1)], axis=1)
+    cdf_below = np.zeros_like(pmf)  # Pr[ζ < k]
+    cdf_below[:, 1:] = np.cumsum(pmf[:, :-1], axis=1)
+    tail = np.clip(1.0 - cdf_below, 0.0, 1.0)
+    return tail[0] if one else tail
 
 
-def translated_poisson_tail(mu: float, var: float, c: int) -> np.ndarray:
+def translated_poisson_tail(mu, var, c: int) -> np.ndarray:
     """Translated Poisson Y = ⌊λ₂⌋ + Pois(μ − ⌊λ₂⌋), λ₂ = μ − σ² (Eq. 11–12).
 
     For a Poisson-binomial, σ² = Σq(1−q) ≤ Σq = μ, so the shift ⌊λ₂⌋ is
     always ≥ 0; shift = 0 degenerates to the plain Poisson approximation.
     """
-    shift = max(0, math.floor(mu - var))
-    base = poisson_tail(mu - shift, max(0, c - shift))
-    tail = np.ones(c + 1)
-    if c >= shift:
-        tail[shift:] = base[: c + 1 - shift]
-    tail[0] = 1.0
-    return tail
+    one, (mu, var) = _rows(mu, var)
+    shift = np.maximum(0, np.floor(mu - var)).astype(np.int64)
+    base = poisson_tail(mu - shift, c)
+    j = np.arange(c + 1) - shift[:, None]  # Pr[Y ≥ k] = Pr[Pois ≥ k − shift]
+    tail = np.where(j >= 0, np.take_along_axis(base, np.maximum(j, 0), axis=1), 1.0)
+    tail[:, 0] = 1.0
+    return tail[0] if one else tail
 
 
-def clt_tail(mu: float, sigma: float, c: int) -> np.ndarray:
+def clt_tail(mu, sigma, c: int) -> np.ndarray:
     """Normal survival 1 − Φ((k−μ)/σ) per Lyapunov CLT (Eq. 13)."""
+    one, (mu, sigma) = _rows(mu, sigma)
     ks = np.arange(c + 1, dtype=np.float64)
-    if sigma <= 0:
-        tail = (ks <= mu + 1e-12).astype(np.float64)
-    else:
-        z = (ks - mu) / sigma
-        tail = 0.5 * (1.0 - _erf(z / math.sqrt(2.0)))
-    tail[0] = 1.0
-    return np.clip(tail, 0.0, 1.0)
+    mu, sigma = mu[:, None], sigma[:, None]
+    z = (ks - mu) / np.where(sigma > 0, sigma, 1.0)
+    normal = 0.5 * (1.0 - _erf(z / math.sqrt(2.0)))
+    tail = np.where(sigma > 0, normal, (ks <= mu + 1e-12).astype(np.float64))
+    tail[:, 0] = 1.0
+    tail = np.clip(tail, 0.0, 1.0)
+    return tail[0] if one else tail
 
 
-def binomial_tail(n: int, p: float) -> np.ndarray:
-    """tail[k] = Pr[Binomial(n, p) ≥ k], k = 0..n (log-space pmf, Eq. 14)."""
-    if p <= 0:
-        t = np.zeros(n + 1)
-        t[0] = 1.0
-        return t
-    if p >= 1:
-        return np.ones(n + 1)
-    ks = np.arange(n + 1, dtype=np.float64)
+def binomial_tail(n, p, width: int | None = None) -> np.ndarray:
+    """tail[k] = Pr[Binomial(n, p) ≥ k], k = 0..n (log-space pmf, Eq. 14),
+    or k = 0..``width`` for arrays of n and p. The log-factorials come from
+    one math.lgamma table over the integer arguments."""
+    one, (n, p) = _rows(n, p)
+    n = n.astype(np.int64)
+    width = int(n.max()) if width is None else width
+    lg = np.array([math.lgamma(i) for i in range(1, width + 2)])  # lg[i] = ln Γ(i + 1)
+    k = np.arange(width + 1)
+    ks = k.astype(np.float64)
+    inside = k <= n[:, None]
+    ok = (p > 0) & (p < 1)
+    ps = np.where(ok, p, 0.5)
+    log_p = np.array([math.log(x) for x in ps.tolist()])[:, None]
+    log_q = np.array([math.log1p(-x) for x in ps.tolist()])[:, None]
     logpmf = (
-        _lgamma(n + 1.0)
-        - _lgamma(ks + 1.0)
-        - _lgamma(n - ks + 1.0)
-        + ks * math.log(p)
-        + (n - ks) * math.log1p(-p)
+        lg[n][:, None]
+        - lg[k]
+        - lg[np.where(inside, n[:, None] - k, 0)]
+        + ks * log_p
+        + (n[:, None] - ks) * log_q
     )
-    pmf = np.exp(logpmf)
-    tail = np.cumsum(pmf[::-1])[::-1]
-    tail[0] = 1.0
-    return np.clip(tail, 0.0, 1.0)
+    # k > n has no mass; −inf keeps exp from overflowing on padded k
+    tail = tail_from_pmf(np.exp(np.where(inside, logpmf, -np.inf)))
+    tail[p <= 0, 1:] = 0.0
+    tail[p >= 1] = 1.0
+    return tail[0] if one else tail
+
+
+def _moments(batch: Batch):
+    """μ, max q, Σq² and σ² = Σq(1−q) of each row of ``batch``. Each row's
+    segment is summed with a 0.0 in front, so np.add.reduceat adds it as
+    ``qs.sum()`` does (the identity first, then numpy's pairwise sum) and
+    the moments are the same floats as one row's."""
+    rows = len(batch)
+    at = batch.start + np.arange(rows)
+    pos = np.arange(len(batch.q)) + np.repeat(np.arange(1, rows + 1), batch.c)
+    q = batch.q
+
+    def seg(ufunc, x):
+        z = np.zeros(len(x) + rows)
+        z[pos] = x
+        return ufunc.reduceat(z, at)
+
+    return seg(np.add, q), seg(np.maximum, q), seg(np.add, q**2), seg(np.add, q * (1.0 - q))
+
+
+def _cascade(c, mu, q_max, sq, var) -> np.ndarray:
+    """The paper's §5.3 condition cascade per row, as indices into
+    :data:`METHODS`."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pbar = mu / c
+        binom_var = c * pbar * (1.0 - pbar)
+        binomial = (binom_var > 0) & (var / binom_var >= D)
+    return np.select(
+        [c == 0, c >= A, (c < B) & (q_max < C), sq > 1.0, binomial], [0, 1, 2, 3, 4], 0
+    )
 
 
 def choose_method(qs: np.ndarray) -> str:
-    """The paper's §5.3 condition cascade; returns the method name."""
-    c = qs.size
-    if c == 0:
-        return "dp"
-    mu = float(qs.sum())
-    if c >= A:
-        return "clt"
-    if c < B and float(qs.max()) < C:
-        return "poisson"
-    if float((qs**2).sum()) > 1.0:
-        return "tpoisson"
-    pbar = mu / c
-    binom_var = c * pbar * (1.0 - pbar)
-    var = float((qs * (1.0 - qs)).sum())
-    if binom_var > 0 and var / binom_var >= D:
-        return "binomial"
-    return "dp"
+    """The paper's §5.3 condition cascade for one row; the method name."""
+    batch = Batch.of([qs])
+    return METHODS[int(_cascade(batch.c, *_moments(batch))[0])]
+
+
+def _tail(m: int, batch: Batch, rows: np.ndarray, width: int, mu, var) -> np.ndarray:
+    """The (len(rows) × width + 1) tails of method ``m`` for ``rows``, whose
+    c is at most ``width``; the DP rows are zero-padded to ``width``."""
+    c = batch.c[rows]
+    if m == 1:
+        return clt_tail(mu[rows], np.sqrt(var[rows]), width)
+    if m == 2:
+        return poisson_tail(mu[rows], width)
+    if m == 3:
+        return translated_poisson_tail(mu[rows], var[rows], width)
+    if m == 4:
+        return binomial_tail(c, mu[rows] / c, width)
+    return pb_tail(batch.pad(rows, width))
 
 
 def ap_tail(qs: np.ndarray) -> tuple[np.ndarray, str]:
-    """Approximate tail Pr[ζ ≥ k] (k=0..c) and the method used."""
-    qs = np.asarray(qs, dtype=np.float64)
-    c = qs.size
-    method = choose_method(qs)
-    mu = float(qs.sum())
-    var = float((qs * (1.0 - qs)).sum())
-    if method == "clt":
-        return clt_tail(mu, math.sqrt(var), c), method
-    if method == "poisson":
-        return poisson_tail(mu, c), method
-    if method == "tpoisson":
-        return translated_poisson_tail(mu, var, c), method
-    if method == "binomial":
-        return binomial_tail(c, mu / c), method
-    return pb_tail(qs), "dp"
+    """Approximate tail Pr[ζ ≥ k] (k=0..c) of one row and the method used."""
+    batch = Batch.of([qs])
+    mu, q_max, sq, var = _moments(batch)
+    m = int(_cascade(batch.c, mu, q_max, sq, var)[0])
+    return _tail(m, batch, np.zeros(1, np.int64), int(batch.c[0]), mu, var)[0], METHODS[m]
 
 
-def kappa_ap(p_tri: float, qs: np.ndarray, theta: float) -> tuple[int, str]:
-    """AP κ score and the approximation that produced it."""
-    tail, method = ap_tail(np.asarray(qs, dtype=np.float64))
-    return kappa_from_tail(p_tri, tail, theta), method
+def kappa_ap(p_tri, qs, theta: float):
+    """AP κ score and the approximation that produced it: (κ, method name)
+    for one row of q values, (κ array, method Counter) for a
+    :class:`~repro.prob.support.Batch` with ``p_tri`` per row. In a batch,
+    each method scores its rows of one width bucket together; the DP
+    fallback rows go to :func:`~repro.prob.support.pb_tail` zero-padded."""
+    if not isinstance(qs, Batch):
+        tail, method = ap_tail(qs)
+        return kappa_from_tail(p_tri, tail, theta), method
+    batch, p_tri = qs, np.asarray(p_tri)
+    mu, q_max, sq, var = _moments(batch)
+    method = _cascade(batch.c, mu, q_max, sq, var)
+    kappa = np.empty(len(batch), np.int64)
+    for idx, width in batch.buckets():
+        for m in np.unique(method[idx]).tolist():
+            rows = idx[method[idx] == m]
+            tail = _tail(m, batch, rows, width, mu, var)
+            kappa[rows] = kappa_from_tail(p_tri[rows], tail, theta, batch.c[rows])
+    counts = np.bincount(method, minlength=len(METHODS))
+    return kappa, Counter({m: int(n) for m, n in zip(METHODS, counts) if n})

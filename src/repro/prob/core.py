@@ -8,21 +8,15 @@ are the elements and edges their support structures in
 :func:`repro.nucleus.local.peel`, with p_self = 1 and each edge's q = p at
 both ends. A vertex's (k,η)-core number is its removal level.
 """
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 
 from repro.graph.connectivity import components_of
 from repro.graph.edges import edge_arrays
 from repro.nucleus.local import NucleusSubgraph, peel
-from repro.prob.support import kappa_from_tail, pb_tail
-
-
-def _eta_score(p_v: float, qs: np.ndarray, eta: float) -> tuple[int, str]:
-    """(η-degree, "dp"): max k with Pr[≥ k incident edges] ≥ η, 0 when no
-    edge qualifies."""
-    if not qs.size:
-        return 0, "dp"
-    return max(0, kappa_from_tail(p_v, pb_tail(qs), eta)), "dp"
+from repro.prob.support import kappa_rows, pb_tail
 
 
 def eta_core_numbers(edges: pd.DataFrame, eta: float) -> dict:
@@ -31,9 +25,14 @@ def eta_core_numbers(edges: pd.DataFrame, eta: float) -> dict:
     if not len(u):
         return {}
     vertices, ends = np.unique(np.stack([u, v], axis=1), return_inverse=True)
-    core, _ = peel(
-        np.ones(len(vertices)), ends.reshape(-1, 2), np.stack([p, p], axis=1), eta, _eta_score
-    )
+
+    def eta_degrees(p_v, batch, eta):
+        """max k with Pr[≥ k incident edges] ≥ η, 0 when no edge qualifies"""
+        return np.maximum(kappa_rows(p_v, batch, eta, pb_tail), 0), Counter()
+
+    core = peel(
+        np.ones(len(vertices)), ends.reshape(-1, 2), np.stack([p, p], axis=1), eta, eta_degrees
+    ).nu
     return dict(zip(vertices.tolist(), core.tolist()))
 
 

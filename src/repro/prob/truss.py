@@ -14,6 +14,8 @@ level. We use the paper's "contained in ≥ k triangles" convention
 (footnote 1); Huang et al.'s (k−2) convention is the same numbers shifted
 by 2.
 """
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 
@@ -22,10 +24,6 @@ from repro.graph.connectivity import components_of
 from repro.graph.edges import edge_arrays
 from repro.nucleus.local import NucleusSubgraph, peel
 from repro.prob.support import kappa_dp
-
-
-def _gamma_score(p_e: float, qs: np.ndarray, gamma: float) -> tuple[int, str]:
-    return kappa_dp(p_e, qs, gamma), "dp"
 
 
 def gamma_truss_numbers(edges: pd.DataFrame, gamma: float) -> dict:
@@ -44,7 +42,9 @@ def gamma_truss_numbers(edges: pd.DataFrame, gamma: float) -> dict:
     ).reshape(-1, 3)
     p_ab, p_ac, p_bc = p[members].T
     ext = np.stack([p_ac * p_bc, p_ab * p_bc, p_ab * p_ac], axis=1)
-    truss, _ = peel(p, members, ext, gamma, _gamma_score)
+    truss = peel(
+        p, members, ext, gamma, lambda p_e, batch, g: (kappa_dp(p_e, batch, g), Counter())
+    ).nu
     return dict(zip(keys, truss.tolist()))
 
 
