@@ -11,13 +11,13 @@ The Monte-Carlo check runs on the driver, as in the paper's single-machine
 implementation: candidates have tens of edges, so one candidate at a time
 its n worlds are stacked into an (n × m) edge mask and the indicators are
 evaluated for all n worlds at once with numpy over the candidate's triangle
-and 4-clique index arrays. Worlds are drawn by
-`repro.prob.sampler.world_mask` from the stream (seed, candidate, sample);
-candidates are numbered in the order their seed triangles are visited, by
-tid. The kernel counts per sorted vertex triple of the candidate; FG and WG
-map those triples to the decomposition's tids with one lookup per
-candidate. No Spark job runs here; the ``spark`` parameters of FG and WG are
-unused.
+and 4-clique index arrays. The mask is one `repro.prob.sampler.world_masks`
+draw from the candidate's stream (seed, candidate), so world s is the same
+whatever n is; candidates are numbered in the order their seed triangles are
+visited, by tid. The kernel counts per sorted vertex triple of the
+candidate; FG and WG map those triples to the decomposition's tids with one
+lookup per candidate. No Spark job runs here; the ``spark`` parameters of FG
+and WG are unused.
 """
 from collections import defaultdict
 
@@ -32,7 +32,7 @@ from repro.nucleus.local import (
     ell_nuclei,
     union_subgraph,
 )
-from repro.prob.sampler import hoeffding_samples, world_mask
+from repro.prob.sampler import hoeffding_samples, world_masks
 
 #: array elements one block of worlds may occupy in the indicator kernels;
 #: the largest krogan (sf 1.0) candidate, 63 edges and 378 cliques, needs
@@ -147,8 +147,9 @@ def mc_triangle_counts(
     {(a,b,c): count} over every triangle of the candidate, keyed by sorted
     vertex triple, zeros included. mode "g": world
     must be a deterministic k-nucleus and contain the triangle. mode "w":
-    the triangle's deterministic ν in the world must be ≥ k. World s of
-    candidate c keeps the edges (sorted) of ``world_mask(p, (seed, c, s))``.
+    the triangle's deterministic ν in the world must be ≥ k. The worlds of
+    candidate c are the rows of ``world_masks(p, n, (seed, c))`` over its
+    edges, sorted.
     ``spark`` is unused: the worlds are evaluated on the driver.
     """
     kernel = {"g": _g_counts, "w": _w_counts}.get(mode)
@@ -161,12 +162,43 @@ def mc_triangle_counts(
         counts = np.zeros(len(cand.tris), np.int64)
         if cand.tris:
             p = np.array([edges[e] for e in keys], dtype=float)
-            mask = np.array([world_mask(p, (seed, int(cid), s)) for s in range(n)], bool)
+            mask = world_masks(p, n, (seed, int(cid)))
             step = cand.block_rows()
             for lo in range(0, n, step):
                 counts += kernel(cand, mask[lo : lo + step], k)
         out[cid] = dict(zip(cand.tris, counts.tolist()))
     return out
+
+
+def _closure(
+    seed: int, four: list[list[int]], tri_cliques: dict[int, list[int]], k: int
+) -> set[int]:
+    """Algorithm 2 lines 6–7 for one seed triangle: the indices (into
+    ``four``) of the cliques chosen when, round by round, every triangle in
+    fewer than k chosen cliques brings in all of its cliques. The count of
+    chosen cliques per triangle is kept as cliques are added, and a triangle
+    brings its cliques in once: after that its count cannot grow."""
+    chosen: set[int] = set()
+    count: dict[int, int] = defaultdict(int)
+    done: set[int] = set()
+    batch, short = {seed}, set()  # short: in 1..k-1 chosen cliques, not done
+    while batch:
+        done |= batch
+        for t in batch:
+            for ci in tri_cliques[t]:
+                if ci in chosen:
+                    continue
+                chosen.add(ci)
+                for u in four[ci]:
+                    count[u] += 1
+                    if u in done:
+                        continue
+                    if count[u] < k:
+                        short.add(u)
+                    else:
+                        short.discard(u)
+        batch, short = short, set()
+    return chosen
 
 
 def grow_candidates(decomp: LocalDecomposition, k: int) -> list[dict]:
@@ -187,21 +219,7 @@ def grow_candidates(decomp: LocalDecomposition, k: int) -> list[dict]:
             for t in tids:
                 tri_cliques[t].append(idx)
         for seed_tid in sorted(nucleus.tids):
-            chosen = set(tri_cliques[seed_tid])
-            while True:
-                member_counts: dict[int, int] = defaultdict(int)
-                for ci in chosen:
-                    for t in four[ci]:
-                        member_counts[t] += 1
-                deficient = [t for t, c in member_counts.items() if c < k]
-                added = False
-                for t in deficient:
-                    for ci in tri_cliques[t]:
-                        if ci not in chosen:
-                            chosen.add(ci)
-                            added = True
-                if not added:
-                    break
+            chosen = _closure(seed_tid, four, tri_cliques, k)
             if not chosen:
                 continue
             key = frozenset((id(nucleus), ci) for ci in chosen)

@@ -11,7 +11,9 @@ surviving triangles' 4-cliques.
 The per-world decompositions run on the driver in the shared
 `mc_triangle_counts` kernel (mode "w"): for one local nucleus at a time, the
 level-k triangle peel runs to a fixpoint over all n sampled worlds at once.
-Its counts, keyed by sorted vertex triple, are mapped to tids in one lookup
+Local nucleus i is candidate i of that kernel: its n worlds are the rows of
+one `repro.prob.sampler.world_masks` draw from the stream (seed, i). Its
+counts, keyed by sorted vertex triple, are mapped to tids in one lookup
 per nucleus and filtered as an array over tids. No Spark job runs here; the
 ``spark`` parameters are unused.
 """

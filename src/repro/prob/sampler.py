@@ -1,12 +1,12 @@
 """Deterministic possible-world sampler (paper §6, Monte-Carlo estimation).
 
 A possible world keeps edge e independently with probability p_e. Sampling is
-deterministic in its stream key: FG and WG key each world by
-(seed, candidate, sample) and draw it from ``default_rng(key)``, so a world
-does not depend on the order or the batching in which worlds are evaluated,
-and repeated runs are identical (matching the paper's fixed-sample-count
-methodology). ``mc_triangle_counts`` stacks a candidate's n worlds into one
-(n × m) mask, one ``world_mask`` call per row.
+deterministic in its stream key: FG and WG key one stream per candidate,
+(seed, candidate), and draw the candidate's n worlds from it as one (n × m)
+mask, so repeated runs are identical (matching the paper's fixed-sample-count
+methodology). ``Generator.random`` fills the (n × m) uniforms row-major, so
+the first n′ worlds of an n-world draw are exactly the n′-world draw: a
+smaller sample is a prefix of a larger one.
 """
 import math
 
@@ -18,8 +18,9 @@ def hoeffding_samples(eps: float, delta: float) -> int:
     return int(math.ceil(math.log(2.0 / delta) / (2.0 * eps * eps)))
 
 
-def world_mask(p: np.ndarray, key) -> np.ndarray:
-    """Boolean keep-mask over edges for the world of stream ``key`` (a
-    sequence of non-negative ints, e.g. (seed, candidate, sample))."""
+def world_masks(p: np.ndarray, n: int, key) -> np.ndarray:
+    """(n × m) boolean keep-masks over the m edges of ``p``: row s is world s
+    of stream ``key`` (a sequence of non-negative ints, e.g.
+    (seed, candidate)). Row s does not depend on n."""
     rng = np.random.default_rng(key)
-    return rng.random(p.size) < p
+    return rng.random((n, p.size)) < p

@@ -1,5 +1,6 @@
 """FG (Algorithm 2) and WG (Algorithm 3) against the paper's worked examples
 and the exact possible-world oracle."""
+from collections import defaultdict
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.nucleus.global_ import (
 )
 from repro.nucleus.local import NucleusSubgraph, local_decomposition
 from repro.nucleus.weakly import w_decomposition, w_nuclei
-from repro.prob.sampler import world_mask
+from repro.prob.sampler import world_masks
 
 
 @pytest.fixture(scope="module")
@@ -74,13 +75,20 @@ def test_fig1_w_nucleus_coincides_with_local(spark, fig1_decomp):
 
 
 def test_example2_k5_not_weakly_global(spark, k5_decomp):
-    """ℓ-(2,0.01)-nucleus but Pr(X_w ≥ 2) = 0.6^10 = 0.006 < θ: WG empty."""
+    """ℓ-(2,0.01)-nucleus but Pr(X_w ≥ 2) = 0.6^10 = 0.00605 < θ: WG empty.
+    Only the full K5 world puts a triangle at ν ≥ 2, so the hits over n
+    worlds are Binomial(n, 0.00605), and the estimate reaches θ with
+    Pr(Bin ≥ 0.01·n): 0.34 at n = 200, 0.19 at n = 500 and 1.9e-6 at
+    n = 10,000, the n used here."""
     assert k5_decomp.k_max == 2
-    assert w_nuclei(spark, k5_decomp, 2, n=500, seed=2) == []
+    assert w_nuclei(spark, k5_decomp, 2, n=10_000, seed=2) == []
 
 
 def test_example2_k5_not_global_either(spark, k5_decomp):
-    assert g_nuclei(spark, k5_decomp, 2, n=500, seed=2) == []
+    """Pr(X_g ≥ 2) is also 0.6^10 = 0.00605 < θ (only the full K5 is a
+    deterministic 2-nucleus), so at n = 10,000 a wrong acceptance needs
+    ≥ 100 hits of Binomial(10,000, 0.00605): probability 1.9e-6."""
+    assert g_nuclei(spark, k5_decomp, 2, n=10_000, seed=2) == []
 
 
 # --- candidate growth -------------------------------------------------------
@@ -110,6 +118,35 @@ def test_grow_candidates_k_too_high(fig1_decomp):
     assert grow_candidates(fig1_decomp, 99) == []
 
 
+def recount_closure(seed, four, tri_cliques, k):
+    """Algorithm 2's closure as written: each round recount the chosen
+    cliques of every triangle, then bring in all cliques of the triangles
+    in fewer than k of them."""
+    chosen = set(tri_cliques[seed])
+    while True:
+        counts = defaultdict(int)
+        for ci in chosen:
+            for t in four[ci]:
+                counts[t] += 1
+        new = {ci for t, c in counts.items() if c < k for ci in tri_cliques[t]} - chosen
+        if not new:
+            return chosen
+        chosen |= new
+
+
+@pytest.mark.parametrize("graph", ["fig1", "k5"])
+def test_grow_candidates_equal_recount_reference(monkeypatch, graph, fig1_decomp, k5_decomp):
+    """Running clique counts grow the same candidates, as the same dicts in
+    the same order, as the per-round recount."""
+    decomp = {"fig1": fig1_decomp, "k5": k5_decomp}[graph]
+    for k in range(1, decomp.k_max + 2):
+        got = grow_candidates(decomp, k)
+        with monkeypatch.context() as m:
+            m.setattr(global_, "_closure", recount_closure)
+            want = grow_candidates(decomp, k)
+        assert [list(c.items()) for c in got] == [list(c.items()) for c in want]
+
+
 # --- decomposition over all k ----------------------------------------------
 
 
@@ -119,7 +156,10 @@ def test_g_decomposition_keys(spark, fig1_decomp):
 
 
 def test_w_decomposition_keys(spark, k5_decomp):
-    out = w_decomposition(spark, k5_decomp, n=200, seed=3)
+    """``out[2]`` is empty because Pr(X_w ≥ 2) = 0.6^10 = 0.00605 < θ = 0.01.
+    The n-world estimate reaches θ with Pr(Binomial(n, 0.00605) ≥ 0.01·n):
+    0.34 at n = 200, 1.9e-6 at the n = 10,000 used here."""
+    out = w_decomposition(spark, k5_decomp, n=10_000, seed=3)
     assert set(out) == {1, 2}
     assert out[1]  # K5 worlds routinely contain 1-nuclei
     assert out[2] == []
@@ -176,7 +216,8 @@ def test_g_contained_in_w_contained_in_l(spark, fig1_decomp):
 
 
 def scalar_counts(candidates, k, n, seed, mode):
-    """The same worlds as ``mc_triangle_counts``, judged one at a time by
+    """The same worlds as ``mc_triangle_counts``, rows of one
+    ``world_masks`` draw per candidate, judged one at a time by
     ``det.nucleus``: per candidate, {sorted vertex triple: count} over all
     its triangles."""
     out = {}
@@ -184,8 +225,8 @@ def scalar_counts(candidates, k, n, seed, mode):
         keys = sorted(edges)
         p = np.array([edges[e] for e in keys])
         got = {tuple(sorted(t)): 0 for t in enumerate_triangles(adj_sets(keys))}
-        for s in range(n):
-            world = [e for e, keep in zip(keys, world_mask(p, (seed, cid, s))) if keep]
+        for row in world_masks(p, n, (seed, cid)):
+            world = [e for e, keep in zip(keys, row) if keep]
             if mode == "g":
                 hits = enumerate_triangles(adj_sets(world)) if is_k_nucleus(world, k) else []
             else:
