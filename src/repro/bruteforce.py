@@ -4,8 +4,9 @@ Everything here evaluates the paper's definitions *literally*, by exhaustive
 possible-world enumeration (2^m worlds, m ≤ ~18 edges) or by a sequential
 exact min-peel that mirrors Algorithm 1 line-by-line. The ℓ, g and w
 indicators and the reference peel share no code with the Spark/driver
-production paths (they use only the adjacency helpers and the DP kernel), so
-agreement is a real cross-check, not a tautology. The w indicator is
+production paths (they use only the adjacency helpers, and their
+Poisson-binomial tails come from the generating polynomial, not from the
+DP kernel), so agreement is a real cross-check, not a tautology. The w indicator is
 literal too: some vertex subset of the world that contains △ induces a
 subgraph that passes Definition 3 (:func:`in_some_k_nucleus`).
 
@@ -19,7 +20,18 @@ from itertools import combinations
 import numpy as np
 
 from repro.det.adjacency import adj_sets, canon, enumerate_4cliques
-from repro.prob.support import EPS, pb_tail
+from repro.prob.support import EPS
+
+
+def _tail(qs) -> np.ndarray:
+    """Pr[ζ ≥ k], k = 0..c, of ζ = Σ Bern(q_i), from the coefficients of
+    the generating polynomial ∏(1 − q_i + q_i·x)."""
+    poly = np.ones(1)
+    for q in qs:
+        poly = np.convolve(poly, (1.0 - q, q))
+    tail = np.cumsum(poly[::-1])[::-1]
+    tail[0] = 1.0
+    return tail
 
 
 def _support_in_world(world_edges: set, tri: tuple) -> int:
@@ -119,10 +131,8 @@ def local_nu_reference(edges, theta: float) -> dict[tuple, int]:
     """Sequential exact ℓ-NuDecomp (Algorithm 1 with running-max level).
 
     Independent of the production peelers: plain dicts, one triangle removed
-    per step, full DP rescore of every neighbour after each removal.
+    per step, full rescore of every neighbour after each removal.
     """
-    from repro.prob.support import kappa_dp
-
     edges = [(canon(u, v)[0], canon(u, v)[1], p) for u, v, p in edges]
     p_edge = {canon(u, v): p for u, v, p in edges}
     adj = adj_sets(p_edge)
@@ -153,9 +163,9 @@ def local_nu_reference(edges, theta: float) -> dict[tuple, int]:
         )
 
     def kap(t):
-        if p_tri(t) < theta - EPS:
-            return -1
-        return kappa_dp(p_tri(t), np.array(list(tri_exts[t].values())), theta)
+        """κ(△) = max k with Pr(△)·Pr[ζ ≥ k] ≥ θ, −1 if even k = 0 fails"""
+        tail = p_tri(t) * _tail(tri_exts[t].values())
+        return max((k for k in range(len(tail)) if tail[k] >= theta - EPS), default=-1)
 
     clique_alive = [True] * len(cliques)
     kappa = {t: kap(t) for t in tris}
@@ -273,7 +283,7 @@ def eta_core_fixpoint(edges, eta: float) -> dict:
 
     def holds(v, alive, k):
         qs = [p_edge[canon(v, w)] for w in adj[v] if w in alive]
-        return k <= len(qs) and pb_tail(np.array(qs))[k] >= eta - EPS
+        return k <= len(qs) and _tail(qs)[k] >= eta - EPS
 
     return _deletion_fixpoint(list(adj), holds)
 
@@ -293,6 +303,6 @@ def gamma_truss_fixpoint(edges, gamma: float) -> dict:
             for w in adj[u] & adj[v]
             if canon(u, w) in alive and canon(v, w) in alive
         ]
-        return k <= len(qs) and p_edge[e] * pb_tail(np.array(qs))[k] >= gamma - EPS
+        return k <= len(qs) and p_edge[e] * _tail(qs)[k] >= gamma - EPS
 
     return _deletion_fixpoint(list(p_edge), holds)

@@ -15,6 +15,8 @@ global indicator 1_g.
 """
 import heapq
 
+import numpy as np
+
 from repro.det.adjacency import (
     adj_sets,
     canon,
@@ -22,7 +24,7 @@ from repro.det.adjacency import (
     cliques_of,
     enumerate_triangles,
 )
-from repro.graph.connectivity import union_find
+from repro.graph.connectivity import components
 
 
 def _structures(edges):
@@ -89,6 +91,8 @@ def is_k_nucleus(edges, k: int) -> bool:
         return False  # some edge is in no 4-clique
     if any(len(cs) < k for cs in tri_cliques.values()):
         return False
-    # a triangle in no clique is its own component, so it fails here too
-    labels = union_find([[t] for t in tri_cliques] + [clique_triangles(cl) for cl in cliques])
-    return len(set(labels.values())) == 1
+    # one component iff every triangle's minimum label is 0; a triangle in
+    # no clique is its own component, so it fails here too
+    tidx = {t: i for i, t in enumerate(tri_cliques)}
+    four = np.array([[tidx[t] for t in clique_triangles(cl)] for cl in cliques])
+    return not components(four, len(tidx)).any()

@@ -1,56 +1,34 @@
-"""Connected components by union-find, including s-connectivity of triangles
-(Definition 2, r=3, s=4).
+"""Connected components of int elements merged by groups, including
+s-connectivity of triangles (Definition 2, r=3, s=4).
 
 Two triangles are s-connected when a chain of triangles links them such that
 consecutive ones lie in a common 4-clique. Equivalently: merge the four
 triangles of every 4-clique and take connected components. All callers work
-on collected Python structures, not Spark: ℓ/w-nucleus extraction, the
-deterministic k-nucleus check inside sampled worlds, and the vertex
-components of the core and truss baselines.
+on collected int arrays, not Spark: ℓ/w-nucleus extraction (tids merged by
+the rows of ``clique_tri``), the deterministic k-nucleus check of one world,
+and the vertex components of the core and truss baselines (vertices merged
+by edges). The per-world labelling of the FG Monte-Carlo kernel
+(`repro.nucleus.global_`) works on an (n × T) array and keeps its own.
 """
-from collections import defaultdict
-from typing import Hashable, Iterable, Sequence
+import numpy as np
 
 
-def union_find(groups: Iterable[Sequence[Hashable]]) -> dict[Hashable, Hashable]:
-    """Component label per element; each group in ``groups`` is merged.
+def components(groups: np.ndarray, n: int) -> np.ndarray:
+    """Per element 0..n−1, the minimum element of its component, where the
+    elements of each row of the (G × s) int array ``groups`` are merged; an
+    element in no group is its own component.
 
-    Returns {element: representative}; representatives are the minimal
-    element of each component (requires orderable labels).
+    Shiloach–Vishkin style: hook the root of every member of a group to the
+    group's minimum root, then jump pointers until every label is a root;
+    repeat until each group has one root. Labels only decrease and each
+    stays in its element's component, so a root is its component's minimum.
     """
-    parent: dict = {}
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:  # path compression
-            parent[a], a = root, parent[a]
-        return root
-
-    for group in groups:
-        it = iter(group)
-        try:
-            first = next(it)
-        except StopIteration:
-            continue
-        parent.setdefault(first, first)
-        ra = find(first)
-        for b in it:
-            parent.setdefault(b, b)
-            rb = find(b)
-            if ra != rb:
-                if rb < ra:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-    # normalize to minimal representative
-    return {a: find(a) for a in parent}
-
-
-def components_of(groups: Iterable[Sequence[Hashable]]) -> list[set]:
-    """Connected components (as sets of elements) induced by ``groups``."""
-    labels = union_find(groups)
-    comp: dict = defaultdict(set)
-    for el, rep in labels.items():
-        comp[rep].add(el)
-    return list(comp.values())
+    label = np.arange(n)
+    while True:
+        roots = label[groups]
+        low = roots.min(axis=1, keepdims=True, initial=n)
+        if (roots == low).all():
+            return label
+        np.minimum.at(label, roots, np.broadcast_to(low, roots.shape))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped

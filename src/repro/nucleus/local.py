@@ -51,7 +51,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.graph.cliques import four_cliques
-from repro.graph.connectivity import union_find
+from repro.graph.connectivity import components
 from repro.graph.edges import ORIENTED, orient
 from repro.graph.triangles import triangles
 from repro.prob.approx import kappa_ap
@@ -364,11 +364,39 @@ def connected_subgraphs(
     """The s-connected unions of the cliques whose triangles are all kept,
     one subgraph per component, in the order of their first clique."""
     cids = cliques_within(decomp, keep)
-    four = decomp.clique_tri[cids].tolist()
-    rep = union_find(four)
-    comp = np.array([rep[t] for t, *_ in four], np.intp)
-    _, first = np.unique(comp, return_index=True)
-    return [union_subgraph(decomp, k, cids[comp == comp[i]]) for i in np.sort(first)]
+    # the cliques' tids renumbered densely, so labelling costs O(cliques)
+    tids, four = np.unique(decomp.clique_tri[cids], return_inverse=True)
+    four = four.reshape(-1, 4)
+    comp = components(four, len(tids))[four[:, 0]]
+    return [union_subgraph(decomp, k, part) for part in _grouped(cids, comp)]
+
+
+def _grouped(items: np.ndarray, comp: np.ndarray) -> list[np.ndarray]:
+    """``items`` split by their component label ``comp``, each part in
+    input order, the parts in the order of their first item."""
+    order = np.argsort(comp, kind="stable")
+    parts = np.split(order, np.flatnonzero(np.diff(comp[order])) + 1) if len(order) else []
+    return [items[part] for part in sorted(parts, key=lambda part: part[0])]
+
+
+def vertex_components(
+    k: int, u: np.ndarray, v: np.ndarray, p: np.ndarray
+) -> list[NucleusSubgraph]:
+    """The vertex components of the edges (u, v, p) as subgraphs at level
+    ``k``, with no tids, in the order of their first edge; each edge keeps
+    its (u, v) key as given."""
+    vertices, ends = np.unique(np.stack([u, v], axis=1), return_inverse=True)
+    ends = ends.reshape(-1, 2)
+    comp = components(ends, len(vertices))[ends[:, 0]]
+    return [
+        NucleusSubgraph(
+            k,
+            set(vertices[ends[part]].ravel().tolist()),
+            dict(zip(zip(u[part].tolist(), v[part].tolist()), p[part].tolist())),
+            set(),
+        )
+        for part in _grouped(np.arange(len(u)), comp)
+    ]
 
 
 def ell_nuclei(decomp: LocalDecomposition, k: int) -> list[NucleusSubgraph]:

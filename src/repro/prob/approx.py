@@ -14,10 +14,10 @@ with the paper's values A=200, B=100, C=0.25, D=0.9.
 
 :func:`kappa_ap` scores a whole :class:`~repro.prob.support.Batch` at once:
 the cascade runs on per-row moments, and each method's tail is computed for
-all its rows of one width bucket together. Each tail function takes one
-row's parameters (a 1-D tail of length c + 1) or arrays of them (a
-(rows × c + 1) array); a row's tail up to its own c is the same float either
-way, and :func:`~repro.prob.support.kappa_from_tail` masks the rest.
+all its rows of one width bucket together. Each tail function takes arrays
+of per-row parameters and a width W and returns a (rows × W + 1) array of
+tails; a row's tail up to its own c does not depend on W, and
+:func:`~repro.prob.support.kappa_from_tail` masks the rest.
 """
 import math
 from collections import Counter
@@ -34,60 +34,46 @@ METHODS = ("dp", "clt", "poisson", "tpoisson", "binomial")
 _erf = np.vectorize(math.erf, otypes=[np.float64])
 
 
-def _rows(*params):
-    """The parameters as 1-D arrays, and whether they were scalars."""
-    one = np.ndim(params[0]) == 0
-    return one, [np.atleast_1d(np.asarray(x, np.float64)) for x in params]
-
-
-def poisson_tail(lam, c: int) -> np.ndarray:
-    """tail[k] = Pr[Poisson(λ) ≥ k], k = 0..c (Eq. 8/10 recursion): one
+def poisson_tail(lam: np.ndarray, c: int) -> np.ndarray:
+    """tail[r, k] = Pr[Poisson(λ_r) ≥ k], k = 0..c (Eq. 8/10 recursion): one
     math.exp per λ, then a running product along the row."""
-    one, (lam,) = _rows(lam)
     ks = np.arange(1, c + 1)
     e = np.array([math.exp(-x) for x in lam.tolist()])[:, None]
     pmf = np.concatenate([e, e * np.cumprod(lam[:, None] / ks, axis=1)], axis=1)
     cdf_below = np.zeros_like(pmf)  # Pr[ζ < k]
     cdf_below[:, 1:] = np.cumsum(pmf[:, :-1], axis=1)
-    tail = np.clip(1.0 - cdf_below, 0.0, 1.0)
-    return tail[0] if one else tail
+    return np.clip(1.0 - cdf_below, 0.0, 1.0)
 
 
-def translated_poisson_tail(mu, var, c: int) -> np.ndarray:
+def translated_poisson_tail(mu: np.ndarray, var: np.ndarray, c: int) -> np.ndarray:
     """Translated Poisson Y = ⌊λ₂⌋ + Pois(μ − ⌊λ₂⌋), λ₂ = μ − σ² (Eq. 11–12).
 
     For a Poisson-binomial, σ² = Σq(1−q) ≤ Σq = μ, so the shift ⌊λ₂⌋ is
     always ≥ 0; shift = 0 degenerates to the plain Poisson approximation.
     """
-    one, (mu, var) = _rows(mu, var)
     shift = np.maximum(0, np.floor(mu - var)).astype(np.int64)
     base = poisson_tail(mu - shift, c)
     j = np.arange(c + 1) - shift[:, None]  # Pr[Y ≥ k] = Pr[Pois ≥ k − shift]
     tail = np.where(j >= 0, np.take_along_axis(base, np.maximum(j, 0), axis=1), 1.0)
     tail[:, 0] = 1.0
-    return tail[0] if one else tail
+    return tail
 
 
-def clt_tail(mu, sigma, c: int) -> np.ndarray:
+def clt_tail(mu: np.ndarray, sigma: np.ndarray, c: int) -> np.ndarray:
     """Normal survival 1 − Φ((k−μ)/σ) per Lyapunov CLT (Eq. 13)."""
-    one, (mu, sigma) = _rows(mu, sigma)
     ks = np.arange(c + 1, dtype=np.float64)
     mu, sigma = mu[:, None], sigma[:, None]
     z = (ks - mu) / np.where(sigma > 0, sigma, 1.0)
     normal = 0.5 * (1.0 - _erf(z / math.sqrt(2.0)))
     tail = np.where(sigma > 0, normal, (ks <= mu + 1e-12).astype(np.float64))
     tail[:, 0] = 1.0
-    tail = np.clip(tail, 0.0, 1.0)
-    return tail[0] if one else tail
+    return np.clip(tail, 0.0, 1.0)
 
 
-def binomial_tail(n, p, width: int | None = None) -> np.ndarray:
-    """tail[k] = Pr[Binomial(n, p) ≥ k], k = 0..n (log-space pmf, Eq. 14),
-    or k = 0..``width`` for arrays of n and p. The log-factorials come from
-    one math.lgamma table over the integer arguments."""
-    one, (n, p) = _rows(n, p)
-    n = n.astype(np.int64)
-    width = int(n.max()) if width is None else width
+def binomial_tail(n: np.ndarray, p: np.ndarray, width: int) -> np.ndarray:
+    """tail[r, k] = Pr[Binomial(n_r, p_r) ≥ k], k = 0..``width`` (log-space
+    pmf, Eq. 14), for int n_r ≤ width. The log-factorials come from one
+    math.lgamma table over the integer arguments."""
     lg = np.array([math.lgamma(i) for i in range(1, width + 2)])  # lg[i] = ln Γ(i + 1)
     k = np.arange(width + 1)
     ks = k.astype(np.float64)
@@ -107,7 +93,7 @@ def binomial_tail(n, p, width: int | None = None) -> np.ndarray:
     tail = tail_from_pmf(np.exp(np.where(inside, logpmf, -np.inf)))
     tail[p <= 0, 1:] = 0.0
     tail[p >= 1] = 1.0
-    return tail[0] if one else tail
+    return tail
 
 
 def _moments(batch: Batch):
@@ -140,12 +126,6 @@ def _cascade(c, mu, q_max, sq, var) -> np.ndarray:
     )
 
 
-def choose_method(qs: np.ndarray) -> str:
-    """The paper's §5.3 condition cascade for one row; the method name."""
-    batch = Batch.of([qs])
-    return METHODS[int(_cascade(batch.c, *_moments(batch))[0])]
-
-
 def _tail(m: int, batch: Batch, rows: np.ndarray, width: int, mu, var) -> np.ndarray:
     """The (len(rows) × width + 1) tails of method ``m`` for ``rows``, whose
     c is at most ``width``; the DP rows are zero-padded to ``width``."""
@@ -161,24 +141,11 @@ def _tail(m: int, batch: Batch, rows: np.ndarray, width: int, mu, var) -> np.nda
     return pb_tail(batch.pad(rows, width))
 
 
-def ap_tail(qs: np.ndarray) -> tuple[np.ndarray, str]:
-    """Approximate tail Pr[ζ ≥ k] (k=0..c) of one row and the method used."""
-    batch = Batch.of([qs])
-    mu, q_max, sq, var = _moments(batch)
-    m = int(_cascade(batch.c, mu, q_max, sq, var)[0])
-    return _tail(m, batch, np.zeros(1, np.int64), int(batch.c[0]), mu, var)[0], METHODS[m]
-
-
-def kappa_ap(p_tri, qs, theta: float):
-    """AP κ score and the approximation that produced it: (κ, method name)
-    for one row of q values, (κ array, method Counter) for a
-    :class:`~repro.prob.support.Batch` with ``p_tri`` per row. In a batch,
-    each method scores its rows of one width bucket together; the DP
-    fallback rows go to :func:`~repro.prob.support.pb_tail` zero-padded."""
-    if not isinstance(qs, Batch):
-        tail, method = ap_tail(qs)
-        return kappa_from_tail(p_tri, tail, theta), method
-    batch, p_tri = qs, np.asarray(p_tri)
+def kappa_ap(p_tri: np.ndarray, batch: Batch, theta: float) -> tuple[np.ndarray, Counter]:
+    """AP κ of every row of ``batch``, with ``p_tri`` per row, and the
+    Counter of the approximations that produced them. Each method scores
+    its rows of one width bucket together; the DP fallback rows go to
+    :func:`~repro.prob.support.pb_tail` zero-padded."""
     mu, q_max, sq, var = _moments(batch)
     method = _cascade(batch.c, mu, q_max, sq, var)
     kappa = np.empty(len(batch), np.int64)

@@ -13,17 +13,20 @@ from collections import Counter
 import numpy as np
 import pandas as pd
 
-from repro.graph.connectivity import components_of
 from repro.graph.edges import edge_arrays
-from repro.nucleus.local import NucleusSubgraph, peel
+from repro.nucleus.local import NucleusSubgraph, peel, vertex_components
 from repro.prob.support import kappa_rows, pb_tail
 
 
 def eta_core_numbers(edges: pd.DataFrame, eta: float) -> dict:
     """(k,η)-core number per vertex; ``edges`` has columns u, v, p."""
-    u, v, p = edge_arrays(edges)
-    if not len(u):
-        return {}
+    vertices, core = _core_levels(*edge_arrays(edges), eta)
+    return dict(zip(vertices.tolist(), core.tolist()))
+
+
+def _core_levels(u, v, p, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted vertices of the edges (u, v, p) and their (k,η)-core
+    numbers."""
     vertices, ends = np.unique(np.stack([u, v], axis=1), return_inverse=True)
 
     def eta_degrees(p_v, batch, eta):
@@ -33,21 +36,16 @@ def eta_core_numbers(edges: pd.DataFrame, eta: float) -> dict:
     core = peel(
         np.ones(len(vertices)), ends.reshape(-1, 2), np.stack([p, p], axis=1), eta, eta_degrees
     ).nu
-    return dict(zip(vertices.tolist(), core.tolist()))
+    return vertices, core
 
 
 def max_eta_cores(edges: pd.DataFrame, eta: float) -> tuple[int, list[NucleusSubgraph]]:
     """(k_Cmax, connected components of the maximum (k,η)-core subgraph)."""
-    core = eta_core_numbers(edges, eta)
-    if not core:
+    u, v, p = edge_arrays(edges)
+    if not len(u):
         return 0, []
-    k_max = max(core.values())
-    keep = {v for v, k in core.items() if k >= k_max}
-    sub = edges[edges.u.isin(keep) & edges.v.isin(keep)]
-    comps = components_of([(u, v) for u, v in sub[["u", "v"]].itertuples(index=False)])
-    out = []
-    for comp in comps:
-        mask = sub.u.isin(comp) & sub.v.isin(comp)
-        e = {(u, v): p for u, v, p in sub[mask][["u", "v", "p"]].itertuples(index=False)}
-        out.append(NucleusSubgraph(k_max, set(comp), e, set()))
-    return k_max, out
+    vertices, core = _core_levels(u, v, p, eta)
+    k_max = int(core.max())
+    top = vertices[core >= k_max]
+    keep = np.isin(u, top) & np.isin(v, top)
+    return k_max, vertex_components(k_max, u[keep], v[keep], p[keep])

@@ -8,7 +8,7 @@ convolution of Eq. 7; the nucleus score is
 
     κ(△) = max { k : Pr(△) · Pr[ζ ≥ k] ≥ θ },   κ = −1 if even k=0 fails.
 
-Every kernel takes one row of q values or a (rows × W) batch of rows
+Every kernel takes a :class:`Batch` or a (rows × W) array of rows
 zero-padded to a common width W. A padded q = 0 leaves every pmf entry
 unchanged, and the reversed cumsum of the tail meets the padding zeros
 first, so each row's tail up to its own c is the same float as that row's
@@ -30,12 +30,6 @@ class Batch:
         self.q = np.asarray(q, np.float64)
         self.c = np.asarray(c, np.int64)
         self.start = np.cumsum(self.c) - self.c
-
-    @classmethod
-    def of(cls, rows) -> "Batch":
-        """The batch of a list of q rows."""
-        rows = [np.asarray(r, np.float64).ravel() for r in rows]
-        return cls(np.concatenate([np.zeros(0), *rows]), [len(r) for r in rows])
 
     def __len__(self) -> int:
         return len(self.c)
@@ -59,12 +53,9 @@ class Batch:
         return Q
 
 
-def pb_pmf(qs: np.ndarray) -> np.ndarray:
-    """Poisson-binomial pmf of ζ = Σ Bern(q_i): length c + 1 for one row of
-    c q values, (rows × W + 1) for a zero-padded (rows × W) batch."""
-    Q = np.asarray(qs, dtype=np.float64)
-    one = Q.ndim == 1
-    Q = Q[None] if one else Q
+def pb_pmf(Q: np.ndarray) -> np.ndarray:
+    """Poisson-binomial pmfs of ζ = Σ Bern(q_i), (rows × W + 1), of a
+    zero-padded (rows × W) array of q rows."""
     R = 1.0 - Q
     dp = np.zeros((Q.shape[0], Q.shape[1] + 1))
     dp[:, 0] = 1.0
@@ -74,7 +65,7 @@ def pb_pmf(qs: np.ndarray) -> np.ndarray:
         dp[:, 1 : j + 2] *= R[:, j : j + 1]
         dp[:, 1 : j + 2] += hit
         dp[:, 0] *= R[:, j]
-    return dp[0] if one else dp
+    return dp
 
 
 def tail_from_pmf(pmf: np.ndarray) -> np.ndarray:
@@ -85,25 +76,21 @@ def tail_from_pmf(pmf: np.ndarray) -> np.ndarray:
     return np.clip(tail, 0.0, 1.0)
 
 
-def pb_tail(qs: np.ndarray) -> np.ndarray:
-    """Exact DP tail Pr[ζ ≥ k], k = 0..W, of one row or of each batch row."""
-    return tail_from_pmf(pb_pmf(qs))
+def pb_tail(Q: np.ndarray) -> np.ndarray:
+    """Exact DP tails Pr[ζ ≥ k], k = 0..W, of a zero-padded (rows × W)
+    array of q rows."""
+    return tail_from_pmf(pb_pmf(Q))
 
 
-def kappa_from_tail(p_tri, tail: np.ndarray, theta: float, c=None):
-    """max k ≤ c with Pr(△)·Pr[ζ ≥ k] ≥ θ; −1 when the triangle itself
-    fails θ. One tail gives an int. A (rows × W + 1) batch of tails, with
-    ``p_tri`` and ``c`` per row, gives an int array; ``c`` masks the padded
-    k > c, whose tail is not 0 for every approximation."""
-    tail = np.asarray(tail)
-    one = tail.ndim == 1
-    tail = tail[None] if one else tail
+def kappa_from_tail(p_tri, tail: np.ndarray, theta: float, c) -> np.ndarray:
+    """Per row of a (rows × W + 1) array of tails, with ``p_tri`` and ``c``
+    per row: max k ≤ c with Pr(△)·Pr[ζ ≥ k] ≥ θ, −1 when the triangle
+    itself fails θ. ``c`` masks the padded k > c, whose tail is not 0 for
+    every approximation."""
     ok = np.reshape(p_tri, (-1, 1)) * tail >= theta - EPS
-    if c is not None:
-        ok &= np.arange(tail.shape[1]) <= np.reshape(c, (-1, 1))
+    ok &= np.arange(tail.shape[1]) <= np.reshape(c, (-1, 1))
     # κ + 1 is the first k that fails; all pass → κ = W
-    kappa = np.where(ok.all(axis=1), tail.shape[1], ok.argmin(axis=1)) - 1
-    return int(kappa[0]) if one else kappa
+    return np.where(ok.all(axis=1), tail.shape[1], ok.argmin(axis=1)) - 1
 
 
 def kappa_rows(p_rows: np.ndarray, batch: Batch, theta: float, tail_fn) -> np.ndarray:
@@ -116,9 +103,7 @@ def kappa_rows(p_rows: np.ndarray, batch: Batch, theta: float, tail_fn) -> np.nd
     return kappa
 
 
-def kappa_dp(p_tri, qs, theta: float):
-    """Exact κ score via the dynamic program: an int for one row of q
-    values, an int array for a :class:`Batch` with ``p_tri`` per row."""
-    if isinstance(qs, Batch):
-        return kappa_rows(np.asarray(p_tri), qs, theta, pb_tail)
-    return kappa_from_tail(p_tri, pb_tail(qs), theta)
+def kappa_dp(p_tri: np.ndarray, batch: Batch, theta: float) -> np.ndarray:
+    """Exact κ of every row of ``batch`` via the dynamic program, with
+    ``p_tri`` per row."""
+    return kappa_rows(p_tri, batch, theta, pb_tail)

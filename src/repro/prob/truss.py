@@ -19,10 +19,9 @@ from collections import Counter
 import numpy as np
 import pandas as pd
 
-from repro.det.adjacency import adj_sets, canon, enumerate_triangles
-from repro.graph.connectivity import components_of
+from repro.det.adjacency import adj_sets, enumerate_triangles
 from repro.graph.edges import edge_arrays
-from repro.nucleus.local import NucleusSubgraph, peel
+from repro.nucleus.local import NucleusSubgraph, peel, vertex_components
 from repro.prob.support import kappa_dp
 
 
@@ -31,8 +30,16 @@ def gamma_truss_numbers(edges: pd.DataFrame, gamma: float) -> dict:
 
     Edges with p_e < γ get −1 (they survive at no level).
     """
+    lo, hi, _, truss = _truss_levels(edges, gamma)
+    return dict(zip(zip(lo.tolist(), hi.tolist()), truss.tolist()))
+
+
+def _truss_levels(edges: pd.DataFrame, gamma: float):
+    """The canonical ends (lo, hi), p and (k,γ)-truss number of every edge,
+    in input order."""
     u, v, p = edge_arrays(edges)
-    keys = list(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = list(zip(lo.tolist(), hi.tolist()))
     eid = {e: i for i, e in enumerate(keys)}
     # each triangle's edges (ab, ac, bc), and per edge the probability that
     # the triangle's other two edges exist
@@ -45,26 +52,16 @@ def gamma_truss_numbers(edges: pd.DataFrame, gamma: float) -> dict:
     truss = peel(
         p, members, ext, gamma, lambda p_e, batch, g: (kappa_dp(p_e, batch, g), Counter())
     ).nu
-    return dict(zip(keys, truss.tolist()))
+    return lo, hi, p, truss
 
 
 def max_gamma_trusses(
     edges: pd.DataFrame, gamma: float
 ) -> tuple[int, list[NucleusSubgraph]]:
     """(k_Tmax, connected components of the maximum (k,γ)-truss subgraph)."""
-    truss = gamma_truss_numbers(edges, gamma)
-    if not truss:
-        return 0, []
-    k_max = max(truss.values())
+    lo, hi, p, truss = _truss_levels(edges, gamma)
+    k_max = int(truss.max(initial=-1))
     if k_max < 0:
         return 0, []
-    keep = {e for e, k in truss.items() if k >= k_max}
-    comps = components_of(list(keep))
-    p_edge = {
-        canon(u, v): p for u, v, p in edges[["u", "v", "p"]].itertuples(index=False)
-    }
-    out = []
-    for comp in comps:
-        e = {e_: p_edge[e_] for e_ in keep if e_[0] in comp and e_[1] in comp}
-        out.append(NucleusSubgraph(k_max, set(comp), e, set()))
-    return k_max, out
+    keep = truss >= k_max
+    return k_max, vertex_components(k_max, lo[keep], hi[keep], p[keep])

@@ -1,7 +1,10 @@
 """Shared graph constructors and DuckDB SQL used across the test suite."""
 from itertools import combinations
 
+import numpy as np
 import pandas as pd
+
+from repro.prob.support import Batch
 
 
 def complete_graph(n: int, p: float = 1.0) -> pd.DataFrame:
@@ -41,8 +44,6 @@ def example2_K5() -> pd.DataFrame:
 
 def random_prob_graph(n: int, p_struct: float, seed: int) -> pd.DataFrame:
     """G(n, p_struct) with uniform(0,1] edge probabilities; canonical."""
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     rows = [
         (u, v, 1.0 - rng.random())
@@ -50,6 +51,12 @@ def random_prob_graph(n: int, p_struct: float, seed: int) -> pd.DataFrame:
         if rng.random() < p_struct
     ]
     return pd.DataFrame(rows, columns=["u", "v", "p"])
+
+
+def batch_of(rows) -> Batch:
+    """The :class:`~repro.prob.support.Batch` of a list of q rows."""
+    rows = [np.asarray(r, np.float64).ravel() for r in rows]
+    return Batch(np.concatenate([np.zeros(0), *rows]), [len(r) for r in rows])
 
 
 def triple_of(decomp) -> list[tuple]:

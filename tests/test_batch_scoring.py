@@ -8,11 +8,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import complete_graph
+from helpers import batch_of, complete_graph
 from repro.datasets import analog
 from repro.nucleus.local import collect_structures, local_decomposition
 from repro.prob.approx import A, B, C, D, METHODS, _moments, kappa_ap
-from repro.prob.support import EPS, Batch, kappa_dp, pb_tail
+from repro.prob.support import EPS, kappa_dp, pb_tail
 
 #: row lengths around the width buckets (8, 64) and the AP thresholds (200)
 CS = (0, 1, 7, 8, 9, 63, 64, 65, 199, 200, 300)
@@ -103,9 +103,9 @@ def assert_kappa_definition(kappa, p, tail, theta):
 @pytest.mark.parametrize("seed", range(2))
 def test_batched_dp_against_convolution(seed, theta):
     rows, p = ragged_rows(seed)
-    kappa = kappa_dp(p, Batch.of(rows), theta)
+    kappa = kappa_dp(p, batch_of(rows), theta)
     for qs, p_r, k in zip(rows, p, kappa.tolist()):
-        assert k == kappa_dp(p_r, qs, theta)
+        assert [k] == kappa_dp(np.array([p_r]), batch_of([qs]), theta).tolist()
         assert_kappa_definition(k, p_r, convolve_tail(qs), theta)
     if theta < EPS:
         assert kappa.tolist() == [len(qs) for qs in rows]
@@ -115,12 +115,13 @@ def test_batched_dp_against_convolution(seed, theta):
 @pytest.mark.parametrize("seed", range(2))
 def test_batched_ap_against_closed_forms(seed, theta):
     rows, p = ragged_rows(seed)
-    kappa, methods = kappa_ap(p, Batch.of(rows), theta)
+    kappa, methods = kappa_ap(p, batch_of(rows), theta)
     expect = Counter()
     for qs, p_r, k in zip(rows, p, kappa.tolist()):
         tail, method = ap_oracle(qs)
         expect[method] += 1
-        assert (k, method) == kappa_ap(p_r, qs, theta)
+        one, one_method = kappa_ap(np.array([p_r]), batch_of([qs]), theta)
+        assert (one.tolist(), one_method) == ([k], Counter({method: 1}))
         assert_kappa_definition(k, p_r, tail, theta)
     assert methods == expect
     assert set(methods) == set(METHODS)
@@ -131,13 +132,13 @@ def test_batched_ap_against_closed_forms(seed, theta):
 def test_padded_dp_tail_is_bit_identical():
     """Zero padding changes no tail entry up to the row's own c."""
     rows, _ = ragged_rows(7)
-    batch = Batch.of(rows)
+    batch = batch_of(rows)
     for idx, width in batch.buckets():
         assert width == 0 or (width & (width - 1) == 0 and width >= batch.c[idx].max())
         tails = pb_tail(batch.pad(idx, width))
         for r, tail in zip(idx.tolist(), tails):
             c = len(rows[r])
-            assert np.array_equal(tail[: c + 1], pb_tail(rows[r]))
+            assert np.array_equal(tail[: c + 1], pb_tail(rows[r][None])[0])
             assert not tail[c + 1 :].any()
 
 
@@ -145,7 +146,7 @@ def test_batch_moments_are_row_sums():
     """The selector's moments are the floats numpy's one-row sums give,
     so the batch picks the same method as one row does."""
     rows, _ = ragged_rows(3)
-    mu, q_max, sq, var = _moments(Batch.of(rows))
+    mu, q_max, sq, var = _moments(batch_of(rows))
     for r, qs in enumerate(rows):
         assert mu[r] == qs.sum() and sq[r] == (qs**2).sum()
         assert var[r] == (qs * (1.0 - qs)).sum()
@@ -213,6 +214,6 @@ def test_peel_counters_cascade(spark):
 
 
 def test_empty_batch_shapes():
-    assert kappa_dp(np.zeros(0), Batch.of([]), 0.1).shape == (0,)
-    kappa, methods = kappa_ap(np.zeros(0), Batch.of([]), 0.1)
+    assert kappa_dp(np.zeros(0), batch_of([]), 0.1).shape == (0,)
+    kappa, methods = kappa_ap(np.zeros(0), batch_of([]), 0.1)
     assert kappa.shape == (0,) and not methods

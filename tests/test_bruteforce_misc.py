@@ -54,7 +54,7 @@ def test_tail_matches_dp_on_independent_extensions():
     edges = tri + sats
     qs = np.array([(0.5 + 0.1 * i) * 0.6 * 0.4 for i in range(3)])
     p_tri = 0.9 * 0.8 * 0.7
-    tail = pb_tail(qs)
+    tail = pb_tail(qs[None])[0]
     for k in range(4):
         assert tail_probability(edges, (0, 1, 2), k, "l") == pytest.approx(
             p_tri * tail[k], abs=1e-9

@@ -17,7 +17,6 @@ from helpers import (
 from repro.bruteforce import local_nu_reference, tail_probability
 from repro.det.nucleus import nucleus_numbers
 from repro.nucleus.local import ell_nuclei, local_decomposition
-from repro.prob.support import pb_tail
 
 
 # --- agreement with the sequential exact reference --------------------------

@@ -1,8 +1,12 @@
-"""Possible-world sampler determinism/unbiasedness and union-find components
-(s-connectivity of extracted nuclei is tested in test_local_nucleus.py)."""
-import numpy as np
+"""Possible-world sampler determinism/unbiasedness and the int-array
+component labeller (s-connectivity of extracted nuclei is tested in
+test_local_nucleus.py)."""
+from collections import deque
 
-from repro.graph.connectivity import components_of, union_find
+import numpy as np
+import pytest
+
+from repro.graph.connectivity import components
 from repro.prob.sampler import hoeffding_samples, world_masks
 
 
@@ -54,19 +58,71 @@ def test_certain_and_impossible_edges():
     assert worlds[:, 1].all()
 
 
-# --- union-find / components ------------------------------------------------
+# --- components ------------------------------------------------------------
 
 
-def test_union_find_min_representative():
-    labels = union_find([[3, 1], [1, 2], [9, 8]])
-    assert labels[1] == labels[2] == labels[3] == 1
-    assert labels[8] == labels[9] == 8
+def bfs_components(groups, n: int) -> list[int]:
+    """Per element, the minimum element of its component, by breadth-first
+    search over the graph that links each group's members in a chain."""
+    nbrs = [[] for _ in range(n)]
+    for row in np.asarray(groups).reshape(len(groups), -1).tolist():
+        for a, b in zip(row, row[1:]):
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    label = [-1] * n
+    for root in range(n):  # ascending, so each root is its component's minimum
+        if label[root] >= 0:
+            continue
+        label[root] = root
+        todo = deque([root])
+        while todo:
+            for b in nbrs[todo.popleft()]:
+                if label[b] < 0:
+                    label[b] = root
+                    todo.append(b)
+    return label
 
 
-def test_components_of_disjoint_groups():
-    comps = components_of([["a", "b"], ["c"], ["b", "d"]])
-    assert sorted(map(sorted, comps)) == [["a", "b", "d"], ["c"]]
+def test_components_min_representative():
+    label = components(np.array([[3, 1], [1, 2], [9, 8]]), 10)
+    assert label[1] == label[2] == label[3] == 1
+    assert label[8] == label[9] == 8
+
+
+def test_components_disjoint_groups():
+    # a, b, c, d = 0, 1, 2, 3; a one-element group merges nothing
+    label = components(np.array([[0, 1], [2, 2], [1, 3]]), 4)
+    assert label.tolist() == [0, 0, 2, 0]
 
 
 def test_components_empty():
-    assert components_of([]) == []
+    assert components(np.zeros((0, 4), np.int64), 0).tolist() == []
+
+
+@pytest.mark.parametrize("s", [1, 2, 4])
+@pytest.mark.parametrize("seed", range(5))
+def test_components_match_bfs(s, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 200))
+    groups = rng.integers(0, n, (int(rng.integers(0, n)), s))
+    assert components(groups, n).tolist() == bfs_components(groups, n)
+
+
+def test_components_no_groups():
+    assert components(np.zeros((0, 2), np.int64), 5).tolist() == [0, 1, 2, 3, 4]
+
+
+def test_components_elements_in_no_group():
+    # 0, 5 and 9 are in no group: each is its own component
+    groups = np.array([[7, 3, 4, 8], [2, 1, 6, 3]])
+    label = components(groups, 10)
+    assert label.tolist() == bfs_components(groups, 10)
+    assert label.tolist() == [0, 1, 1, 1, 1, 5, 1, 1, 1, 9]
+
+
+def test_components_descending_path():
+    """Groups (i, i+1) for i from the top down: each hook pass alone moves
+    the minimum one step, so only pointer jumping makes this fast."""
+    n = 10_000
+    groups = np.stack([np.arange(n - 2, -1, -1), np.arange(n - 1, 0, -1)], axis=1)
+    assert (components(groups, n) == 0).all()
