@@ -1,7 +1,7 @@
 """Experiment harnesses — one function per evaluation table of the paper.
 
 Each function returns a pandas DataFrame whose rows mirror the paper's table
-layout; ``jobs/table*.py`` wrap them for spark-submit, ``benchmarks/`` wraps
+layout; ``jobs/run.py`` runs them by table name, ``benchmarks/`` wraps
 them for pytest-benchmark, and EXPERIMENTS.md records paper-vs-measured
 values. Dataset analogs are described in DESIGN.md §4.
 """
@@ -12,7 +12,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.datasets import ANALOGS, analog, analog_pdf
-from repro.graph.edges import edge_arrays, oriented
+from repro.graph.edges import ORIENTED, orient
 from repro.graph.triangles import triangles
 from repro.nucleus.global_ import g_decomposition
 from repro.nucleus.local import collect_structures, ell_nuclei, local_decomposition
@@ -28,17 +28,16 @@ def table1_stats(
     """Table 1: |V|, |E|, d_max, p_avg, |△| for every dataset analog."""
     rows = []
     for name in names or list(ANALOGS):
-        edge_pdf = analog_pdf(name, sf=sf)
-        u, v, p = edge_arrays(edge_pdf)
-        deg = np.unique(np.concatenate([u, v]), return_counts=True)[1]
+        d = orient(analog_pdf(name, sf=sf))
+        deg = np.unique(np.concatenate([d.src, d.dst]), return_counts=True)[1]
         rows.append(
             dict(
                 graph=name,
                 V=len(deg),
-                E=len(u),
+                E=len(d),
                 d_max=int(deg.max()),
-                p_avg=round(float(p.mean()), 3),
-                triangles=triangles(oriented(spark.createDataFrame(edge_pdf))).count(),
+                p_avg=round(float(d.p.mean()), 3),
+                triangles=triangles(spark.createDataFrame(d, ORIENTED)).count(),
             )
         )
     return pd.DataFrame(rows)

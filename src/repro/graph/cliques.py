@@ -14,7 +14,7 @@ from pyspark.sql import functions as F
 
 def four_cliques(d: DataFrame, tri_df: DataFrame) -> DataFrame:
     """Enumerate 4-cliques from an oriented edge DataFrame ``d``
-    (:func:`repro.graph.edges.oriented`) and its triangles ``tri_df``
+    (:data:`repro.graph.edges.ORIENTED`) and its triangles ``tri_df``
     (:func:`repro.graph.triangles.triangles` of the same ``d``).
 
     Returns columns: x, y, z, w (vertex ids in (degree, id) order) and the

@@ -11,12 +11,12 @@ bounded by degeneracy keeps the wedge join output near-linear in practice (a
 hub of degree d contributes O(d^2) wedges undirected but only pairs among
 its *higher-ordered* neighbours when oriented). The orientation needs only
 the degree at each end of an edge, so :func:`orient` computes it with numpy
-on the driver, and :func:`oriented` hands the O(|E|) result back to Spark,
-small enough for the enumeration joins to broadcast.
+on the driver; ``spark.createDataFrame(orient(pdf), ORIENTED)`` hands the
+O(|E|) result back to Spark, small enough for the enumeration joins to
+broadcast.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
 
 #: Spark schema of an oriented edge frame (:func:`orient`)
 ORIENTED = "src long, dst long, p double, dd long"
@@ -60,9 +60,3 @@ def orient(edges: pd.DataFrame) -> pd.DataFrame:
         }
     )
 
-
-def oriented(edge_df: DataFrame) -> DataFrame:
-    """:func:`orient` of a Spark (u, v, p) edge DataFrame, collected in one
-    Spark action and returned as a Spark DataFrame (:data:`ORIENTED`)."""
-    pdf = orient(edge_df.select("u", "v", "p").toPandas())
-    return edge_df.sparkSession.createDataFrame(pdf, ORIENTED)

@@ -7,7 +7,7 @@ probabilities and the triangle existence probability
 Pr(△) = p_xy · p_xz · p_yz.
 
 The oriented edges are the driver's O(|E|) list
-(:func:`repro.graph.edges.oriented`), so the edge side of both joins is
+(:func:`repro.graph.edges.orient`), so the edge side of both joins is
 broadcast: a hint, which holds whatever ``autoBroadcastJoinThreshold`` the
 session sets, and no join shuffles.
 """
@@ -17,7 +17,7 @@ from pyspark.sql import functions as F
 
 def triangles(d: DataFrame) -> DataFrame:
     """Enumerate the triangles of an oriented edge DataFrame
-    (:func:`repro.graph.edges.oriented`).
+    (:data:`repro.graph.edges.ORIENTED`).
 
     Returns columns: x, y, z (vertex ids in (degree, id) order),
     p_xy, p_xz, p_yz, p_tri.

@@ -32,7 +32,7 @@ from repro.nucleus.local import (
     ell_nuclei,
     union_subgraph,
 )
-from repro.prob.sampler import hoeffding_samples, world_masks
+from repro.prob.sampler import world_masks
 
 #: array elements one block of worlds may occupy in the indicator kernels;
 #: the largest krogan (sf 1.0) candidate, 63 edges and 378 cliques, needs
@@ -40,11 +40,16 @@ from repro.prob.sampler import hoeffding_samples, world_masks
 _BLOCK_ELEMS = 1 << 22
 
 
-def _padded(lists: list[list[int]], fill: int) -> np.ndarray:
-    """Ragged index lists as one array, short rows padded with ``fill``."""
-    out = np.full((len(lists), max(1, max(map(len, lists), default=0))), fill, np.intp)
-    for i, xs in enumerate(lists):
-        out[i, : len(xs)] = xs
+def _holders(members: np.ndarray, n: int) -> np.ndarray:
+    """The inverse of a (C × s) array over elements 0..n−1: row i lists the
+    rows of ``members`` that hold element i, ascending, padded with the
+    sentinel index C."""
+    flat = members.ravel()
+    order = np.argsort(flat, kind="stable")
+    counts = np.bincount(flat, minlength=n)
+    out = np.full((n, max(1, counts.max(initial=0))), len(members), np.intp)
+    col = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    out[flat[order], col] = order // members.shape[1]
     return out
 
 
@@ -60,7 +65,6 @@ class _Candidate:
         self.tris = enumerate_triangles(adj)
         tidx = {t: i for i, t in enumerate(self.tris)}
         cliques = cliques_of(adj, self.tris)
-        c = len(cliques)
         self.tri_edges = np.array(
             [[eidx[(a, b)], eidx[(a, z)], eidx[(b, z)]] for a, b, z in self.tris], np.intp
         ).reshape(-1, 3)
@@ -71,15 +75,8 @@ class _Candidate:
         self.clique_tris = np.array(
             [[tidx[t] for t in clique_triangles(cl)] for cl in cliques], np.intp
         ).reshape(-1, 4)
-        of_tri: list[list[int]] = [[] for _ in self.tris]
-        of_edge: list[list[int]] = [[] for _ in keys]
-        for ci in range(c):
-            for t in self.clique_tris[ci].tolist():
-                of_tri[t].append(ci)
-            for e in self.clique_edges[ci].tolist():
-                of_edge[e].append(ci)
-        self.tri_cliques = _padded(of_tri, c)
-        self.edge_cliques = _padded(of_edge, c)
+        self.tri_cliques = _holders(self.clique_tris, len(self.tris))
+        self.edge_cliques = _holders(self.clique_edges, len(keys))
 
     def block_rows(self) -> int:
         """Worlds per block, so that one block's temporaries stay bounded."""
@@ -207,7 +204,7 @@ def grow_candidates(decomp: LocalDecomposition, k: int) -> list[dict]:
     then dedupe. Returns candidate edge dicts {(u,v): p}, numbered by the
     first seed (nucleus by nucleus, tids ascending) that grows each."""
     nuclei = ell_nuclei(decomp, k)
-    cands: dict[frozenset, dict] = {}
+    cands: dict[bytes, dict] = {}  # keyed by the candidate's sorted cids
     for nucleus in nuclei:
         # the cliques of this component and their four tids each
         keep = np.zeros(len(decomp.nu), bool)
@@ -222,10 +219,9 @@ def grow_candidates(decomp: LocalDecomposition, k: int) -> list[dict]:
             chosen = _closure(seed_tid, four, tri_cliques, k)
             if not chosen:
                 continue
-            key = frozenset((id(nucleus), ci) for ci in chosen)
-            if key in cands:
-                continue
-            cands[key] = union_subgraph(decomp, k, cids[sorted(chosen)]).edges
+            sel = cids[sorted(chosen)]
+            if sel.tobytes() not in cands:
+                cands[sel.tobytes()] = union_subgraph(decomp, k, sel).edges
     return list(cands.values())
 
 
@@ -234,14 +230,13 @@ def g_nuclei(
     decomp: LocalDecomposition,
     k: int,
     *,
-    eps: float = 0.1,
-    delta: float = 0.1,
-    n: int | None = None,
+    n: int = 200,
     seed: int = 0,
 ) -> list[NucleusSubgraph]:
-    """All accepted g-(k,θ)-nuclei for one k (Algorithm 2). ``spark`` is
-    unused: candidate growth and the Monte-Carlo check run on the driver."""
-    n = n if n is not None else max(200, hoeffding_samples(eps, delta))
+    """All accepted g-(k,θ)-nuclei for one k (Algorithm 2), each candidate
+    checked on ``n`` sampled worlds: the paper runs n = 200, above the 150
+    that Lemma 4 asks for at ε = δ = 0.1. ``spark`` is unused: candidate
+    growth and the Monte-Carlo check run on the driver."""
     theta = decomp.theta
     cand_edges = {i: e for i, e in enumerate(grow_candidates(decomp, k))}
     counts = mc_triangle_counts(spark, cand_edges, k, n, seed, "g")

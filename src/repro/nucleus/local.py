@@ -44,6 +44,7 @@ dead from the start.
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -79,11 +80,17 @@ class LocalDecomposition:
     def k_max(self) -> int:
         return int(self.nu.max(initial=-1))
 
+    @cached_property
+    def _triples(self) -> pd.MultiIndex:
+        """Each tid's sorted vertex triple, built at the first
+        :meth:`tids_of`: the peels never look a triple up."""
+        xyz = np.sort(self.tri_pdf[["x", "y", "z"]].to_numpy(np.int64), axis=1)
+        return pd.MultiIndex.from_arrays(xyz.T)
+
     def tids_of(self, triples) -> np.ndarray:
         """The tids of sorted vertex triples, each a triangle of the graph."""
-        xyz = np.sort(self.tri_pdf[["x", "y", "z"]].to_numpy(np.int64), axis=1)
         q = np.asarray(triples, np.int64).reshape(-1, 3)
-        return pd.MultiIndex.from_arrays(xyz.T).get_indexer(pd.MultiIndex.from_arrays(q.T))
+        return self._triples.get_indexer(pd.MultiIndex.from_arrays(q.T))
 
 
 @dataclass

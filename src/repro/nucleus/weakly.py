@@ -27,7 +27,6 @@ from repro.nucleus.local import (
     ell_nuclei,
 )
 from repro.nucleus.global_ import mc_triangle_counts
-from repro.prob.sampler import hoeffding_samples
 
 
 def w_nuclei(
@@ -35,14 +34,12 @@ def w_nuclei(
     decomp: LocalDecomposition,
     k: int,
     *,
-    eps: float = 0.1,
-    delta: float = 0.1,
-    n: int | None = None,
+    n: int = 200,
     seed: int = 0,
 ) -> list[NucleusSubgraph]:
-    """All w-(k,θ)-nuclei for one k (Algorithm 3). ``spark`` is unused:
-    extraction and the Monte-Carlo check run on the driver."""
-    n = n if n is not None else max(200, hoeffding_samples(eps, delta))
+    """All w-(k,θ)-nuclei for one k (Algorithm 3), each local nucleus
+    sampled in ``n`` worlds (the paper's n = 200, as for FG). ``spark`` is
+    unused: extraction and the Monte-Carlo check run on the driver."""
     theta = decomp.theta
     locals_ = ell_nuclei(decomp, k)
     cand_edges = {i: h.edges for i, h in enumerate(locals_)}

@@ -8,14 +8,7 @@ methodology). ``Generator.random`` fills the (n × m) uniforms row-major, so
 the first n′ worlds of an n-world draw are exactly the n′-world draw: a
 smaller sample is a prefix of a larger one.
 """
-import math
-
 import numpy as np
-
-
-def hoeffding_samples(eps: float, delta: float) -> int:
-    """Minimum sample count n ≥ ⌈ln(2/δ) / (2ε²)⌉ from Lemma 4."""
-    return int(math.ceil(math.log(2.0 / delta) / (2.0 * eps * eps)))
 
 
 def world_masks(p: np.ndarray, n: int, key) -> np.ndarray:

@@ -72,3 +72,22 @@ def test_jobs_are_importable():
 
     for f in pathlib.Path("jobs").glob("*.py"):
         py_compile.compile(str(f), doraise=True)
+
+
+def test_run_all_tables_resolve_in_the_entrypoint(capsys):
+    """results/run_all.sh runs every table of jobs/run.py once, by a name
+    the entrypoint knows, and the entrypoint's --help parses."""
+    import importlib.util
+    import pathlib
+    import re
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("jobs_run", root / "jobs" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    script = (root / "results" / "run_all.sh").read_text()
+    assert re.findall(r"^run (\S+) ", script, re.M) == list(run.TABLES)
+    with pytest.raises(SystemExit) as done:
+        run.main(["--help"])
+    assert done.value.code == 0
+    assert "table6" in capsys.readouterr().out

@@ -11,7 +11,7 @@ from pyspark.sql import functions as F
 from helpers import CLIQUE_SQL, TRIANGLE_SQL, complete_graph, random_prob_graph
 from repro.datasets import analog_pdf
 from repro.graph.cliques import four_cliques
-from repro.graph.edges import oriented
+from repro.graph.edges import ORIENTED, orient
 from repro.graph.triangles import triangles
 from repro.nucleus import local
 from repro.nucleus.local import collect_structures
@@ -24,12 +24,16 @@ def spark_edges(spark, pdf):
     return spark.createDataFrame(pdf)
 
 
+def oriented(spark, pdf):
+    return spark.createDataFrame(orient(pdf), ORIENTED)
+
+
 def tris_of(spark, pdf):
-    return triangles(oriented(spark_edges(spark, pdf)))
+    return triangles(oriented(spark, pdf))
 
 
 def cliques_of(spark, pdf):
-    d = oriented(spark_edges(spark, pdf))
+    d = oriented(spark, pdf)
     return four_cliques(d, triangles(d))
 
 
@@ -107,9 +111,9 @@ def test_row_budget_follows_driver_memory(spark):
     assert local.row_budget(spark) == (int(mem[:-1]) << shift) // local.ROW_BYTES
 
 
-def test_oriented_preserves_edges_and_orients_by_degree_then_id(spark):
+def test_oriented_preserves_edges_and_orients_by_degree_then_id():
     pdf = random_prob_graph(25, 0.3, seed=3)
-    d = oriented(spark_edges(spark, pdf)).toPandas()
+    d = orient(pdf)
     deg = pd.concat([pdf.u, pdf.v]).value_counts()
     assert sorted(zip(d[["src", "dst"]].min(axis=1), d[["src", "dst"]].max(axis=1))) == sorted(
         zip(pdf.u, pdf.v)

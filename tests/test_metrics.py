@@ -69,11 +69,11 @@ def test_pcc_numerator_vs_duckdb(spark):
     """3·Σ_△ p·p·p numerator via the distributed triangle enumeration vs
     DuckDB self-joins."""
     from helpers import TRIANGLE_SQL
-    from repro.graph.edges import oriented
+    from repro.graph.edges import ORIENTED, orient
     from repro.graph.triangles import triangles
 
     pdf = random_prob_graph(25, 0.45, seed=6)
-    num = triangles(oriented(spark.createDataFrame(pdf))).agg(
+    num = triangles(spark.createDataFrame(orient(pdf), ORIENTED)).agg(
         F.round(F.sum("p_tri"), 6).alias("s")
     )
     assert_equivalent(

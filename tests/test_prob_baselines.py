@@ -165,7 +165,7 @@ def test_cohesiveness_ordering_on_planted_graph(spark):
     pd_c = max(subgraph_stats(h.edge_pdf)["PD"] for h in cores)
     # core (1-hop degree condition) is the loosest notion — strictly beaten;
     # nucleus vs truss differ by small margins at this toy scale (the full
-    # Table 4 comparison runs at dataset scale in jobs/table4_cohesiveness.py)
+    # Table 4 comparison runs at dataset scale in `jobs/run.py table4`)
     assert pd_n >= pd_c + 0.05
     assert pd_t >= pd_c + 0.05
     assert pd_n >= pd_t - 0.05

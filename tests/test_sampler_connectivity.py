@@ -7,15 +7,10 @@ import numpy as np
 import pytest
 
 from repro.graph.connectivity import components
-from repro.prob.sampler import hoeffding_samples, world_masks
+from repro.prob.sampler import world_masks
 
 
 # --- sampler ----------------------------------------------------------------
-
-
-def test_hoeffding_paper_values():
-    assert hoeffding_samples(0.1, 0.1) == 150  # §7.5: ε=δ=0.1 → n=150
-    assert hoeffding_samples(0.03, 0.05) <= 2050  # Table 5 row n=2000 regime
 
 
 def test_world_masks_deterministic():
