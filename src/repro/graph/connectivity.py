@@ -6,9 +6,9 @@ consecutive ones lie in a common 4-clique. Equivalently: merge the four
 triangles of every 4-clique and take connected components. All callers work
 on collected int arrays, not Spark: ℓ/w-nucleus extraction (tids merged by
 the rows of ``clique_tri``), the deterministic k-nucleus check of one world,
-and the vertex components of the core and truss baselines (vertices merged
-by edges). The per-world labelling of the FG Monte-Carlo kernel
-(`repro.nucleus.global_`) works on an (n × T) array and keeps its own.
+the FG Monte-Carlo kernel (the triangles of many sampled worlds at once,
+each world its own block of element ids) and the vertex components of the
+core and truss baselines (vertices merged by edges).
 """
 import numpy as np
 

@@ -11,10 +11,11 @@ The Monte-Carlo check runs on the driver, as in the paper's single-machine
 implementation: candidates have tens of edges, so one candidate at a time
 its n worlds are stacked into an (n × m) edge mask and the indicators are
 evaluated for all n worlds at once with numpy over the candidate's triangle
-and 4-clique index arrays. The mask is one `repro.prob.sampler.world_masks`
-draw from the candidate's stream (seed, candidate), so world s is the same
-whatever n is; candidates are numbered in the order their seed triangles are
-visited, by tid. The kernel counts per sorted vertex triple of the
+and 4-clique index arrays, s-connectivity by `repro.graph.connectivity`. The
+mask is one `repro.prob.sampler.world_masks` draw from the candidate's stream
+(seed, candidate), so world s is the same whatever n is; candidates (distinct
+edge sets) are numbered in the order their seed triangles are visited, by
+tid. The kernel counts per sorted vertex triple of the
 candidate; FG and WG map those triples to the decomposition's tids with one
 lookup per candidate. No Spark job runs here; the ``spark`` parameters of FG
 and WG are unused.
@@ -25,6 +26,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.det.adjacency import adj_sets, canon, clique_triangles, cliques_of, enumerate_triangles
+from repro.graph.connectivity import components
 from repro.nucleus.local import (
     LocalDecomposition,
     NucleusSubgraph,
@@ -98,19 +100,15 @@ def _g_counts(cand: _Candidate, mask: np.ndarray, k: int) -> np.ndarray:
     ok = live.any(axis=1)
     ok &= ~(mask & ~ext[:, cand.edge_cliques].any(axis=2)).any(axis=1)  # edges covered
     ok &= ~(present & (ext[:, cand.tri_cliques].sum(axis=2) < k)).any(axis=1)  # support ≥ k
-    # s-connectivity of the worlds still accepted: min-label propagation
-    # over the live cliques; a present triangle in no live clique keeps its
-    # own label
-    rows = np.flatnonzero(ok)
-    pres, lv, t = present[rows], live[rows], len(cand.tris)
-    label = np.where(pres, np.arange(t), t)
-    while True:
-        via = _with_sentinel(np.where(lv, label[:, cand.clique_tris].min(axis=2), t), t)
-        nxt = np.minimum(label, via[:, cand.tri_cliques].min(axis=2))
-        if np.array_equal(nxt, label):
-            break
-        label = nxt
-    ok[rows] = ~(pres & (label != label.min(axis=1, keepdims=True))).any(axis=1)
+    # s-connectivity of the worlds still accepted, in one labelling: triangle
+    # t of the i-th of them is element i·T + t, merged by that world's live
+    # cliques; a world passes when its present triangles share one label
+    rows, t = np.flatnonzero(ok), len(cand.tris)
+    world, clique = np.nonzero(live[rows])
+    label = components(world[:, None] * t + cand.clique_tris[clique], rows.size * t)
+    label, pres = label.reshape(-1, t), present[rows]
+    low = np.where(pres, label, label.size).min(axis=1, keepdims=True)
+    ok[rows] = ~(pres & (label != low)).any(axis=1)
     return (present & ok[:, None]).sum(axis=0)
 
 
@@ -201,11 +199,12 @@ def _closure(
 def grow_candidates(decomp: LocalDecomposition, k: int) -> list[dict]:
     """Algorithm 2 lines 5–8: for every triangle of C_k, grow the closure of
     4-cliques until every triangle it brought in has ≥ k cliques inside,
-    then dedupe. Returns candidate edge dicts {(u,v): p}, numbered by the
-    first seed (nucleus by nucleus, tids ascending) that grows each."""
-    nuclei = ell_nuclei(decomp, k)
-    cands: dict[bytes, dict] = {}  # keyed by the candidate's sorted cids
-    for nucleus in nuclei:
+    then dedupe by edge set: different clique sets can have one union.
+    Returns candidate edge dicts {(u,v): p}, numbered by the first seed
+    (nucleus by nucleus, tids ascending) that grows each."""
+    grown: set[bytes] = set()  # the sorted cids of every closure so far
+    cands: dict[frozenset, dict] = {}  # keyed by the candidate's edge set
+    for nucleus in ell_nuclei(decomp, k):
         # the cliques of this component and their four tids each
         keep = np.zeros(len(decomp.nu), bool)
         keep[list(nucleus.tids)] = True
@@ -216,12 +215,12 @@ def grow_candidates(decomp: LocalDecomposition, k: int) -> list[dict]:
             for t in tids:
                 tri_cliques[t].append(idx)
         for seed_tid in sorted(nucleus.tids):
-            chosen = _closure(seed_tid, four, tri_cliques, k)
-            if not chosen:
-                continue
-            sel = cids[sorted(chosen)]
-            if sel.tobytes() not in cands:
-                cands[sel.tobytes()] = union_subgraph(decomp, k, sel).edges
+            # every tid of a nucleus lies in one of its cliques: never empty
+            sel = cids[sorted(_closure(seed_tid, four, tri_cliques, k))]
+            if sel.tobytes() not in grown:
+                grown.add(sel.tobytes())
+                edges = union_subgraph(decomp, k, sel).edges
+                cands.setdefault(frozenset(edges), edges)
     return list(cands.values())
 
 

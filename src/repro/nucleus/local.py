@@ -92,6 +92,12 @@ class LocalDecomposition:
         q = np.asarray(triples, np.int64).reshape(-1, 3)
         return self._triples.get_indexer(pd.MultiIndex.from_arrays(q.T))
 
+    @cached_property
+    def _clique_edges(self) -> tuple[list[np.ndarray], ...]:
+        """The u, v and p columns of each clique's six edges, looked up in
+        ``clique_pdf`` once: views, so a kept decomposition holds no copy."""
+        return tuple([self.clique_pdf[c].to_numpy() for c in s] for s in zip(*_CLIQUE_EDGE_COLS))
+
 
 @dataclass
 class NucleusSubgraph:
@@ -352,10 +358,7 @@ def cliques_within(decomp: LocalDecomposition, keep: np.ndarray) -> np.ndarray:
 def union_subgraph(decomp: LocalDecomposition, k: int, cids: np.ndarray) -> NucleusSubgraph:
     """The union of the cliques ``cids`` as one subgraph at level ``k``."""
     # ends and probability of each clique's six edges, clique by clique
-    u, v, p = (
-        np.stack([decomp.clique_pdf[c].to_numpy()[cids] for c in cols], axis=1).ravel()
-        for cols in zip(*_CLIQUE_EDGE_COLS)
-    )
+    u, v, p = (np.stack([a[cids] for a in cols], axis=1).ravel() for cols in decomp._clique_edges)
     edges = zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist())
     return NucleusSubgraph(
         k,

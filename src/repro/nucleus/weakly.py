@@ -14,8 +14,9 @@ level-k triangle peel runs to a fixpoint over all n sampled worlds at once.
 Local nucleus i is candidate i of that kernel: its n worlds are the rows of
 one `repro.prob.sampler.world_masks` draw from the stream (seed, i). Its
 counts, keyed by sorted vertex triple, are mapped to tids in one lookup
-per nucleus and filtered as an array over tids. No Spark job runs here; the
-``spark`` parameters are unused.
+per nucleus into one array over all tids, and one `connected_subgraphs`
+call per k labels the w-nuclei. No Spark job runs here; the ``spark``
+parameters are unused.
 """
 import numpy as np
 from pyspark.sql import SparkSession
@@ -40,20 +41,17 @@ def w_nuclei(
     """All w-(k,θ)-nuclei for one k (Algorithm 3), each local nucleus
     sampled in ``n`` worlds (the paper's n = 200, as for FG). ``spark`` is
     unused: extraction and the Monte-Carlo check run on the driver."""
-    theta = decomp.theta
     locals_ = ell_nuclei(decomp, k)
     cand_edges = {i: h.edges for i, h in enumerate(locals_)}
     counts = mc_triangle_counts(spark, cand_edges, k, n, seed, "w")
-    out: list[NucleusSubgraph] = []
+    # the ℓ-nuclei of one k share no triangle, so each sets only its own tids
+    keep = np.zeros(len(decomp.nu), bool)
     for i, h in enumerate(locals_):
-        got = counts[i]
-        frac = np.zeros(len(decomp.nu))
-        frac[decomp.tids_of(list(got))] = np.array(list(got.values())) / n
-        kept = np.zeros(len(decomp.nu), bool)
-        kept[list(h.tids)] = True
-        # connected union of surviving triangles' 4-cliques within H
-        out.extend(connected_subgraphs(decomp, k, kept & (frac >= theta)))
-    return out
+        tids = decomp.tids_of(list(counts[i]))
+        own = np.isin(tids, list(h.tids))
+        keep[tids[own]] = np.fromiter(counts[i].values(), float)[own] / n >= decomp.theta
+    # a clique whose four triangles are kept lies inside one ℓ-nucleus
+    return connected_subgraphs(decomp, k, keep)
 
 
 def w_decomposition(

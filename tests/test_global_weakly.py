@@ -8,9 +8,10 @@ import pytest
 
 from helpers import complete_graph, edges_list, example2_K5, fig1_H, triple_of
 from repro.bruteforce import tail_probability
+from repro.datasets import analog
 from repro.det.adjacency import adj_sets, enumerate_triangles
 from repro.det.nucleus import is_k_nucleus, nucleus_numbers
-from repro.nucleus import global_
+from repro.nucleus import global_, weakly
 from repro.nucleus.global_ import (
     g_decomposition,
     g_nuclei,
@@ -18,9 +19,15 @@ from repro.nucleus.global_ import (
     maximal,
     mc_triangle_counts,
 )
-from repro.nucleus.local import NucleusSubgraph, local_decomposition
+from repro.nucleus.local import (
+    NucleusSubgraph,
+    connected_subgraphs,
+    ell_nuclei,
+    local_decomposition,
+)
 from repro.nucleus.weakly import w_decomposition, w_nuclei
 from repro.prob.sampler import world_masks
+from test_trace_points import load_tracing
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +38,13 @@ def fig1_decomp(spark):
 @pytest.fixture(scope="module")
 def k5_decomp(spark):
     return local_decomposition(spark, spark.createDataFrame(example2_K5()), 0.01)
+
+
+@pytest.fixture(scope="module")
+def krogan_decomp(spark):
+    """krogan sf 0.3 at θ 0.1: k_max 3, and at k = 2 its 182 seed closures
+    are only 4 distinct subgraphs."""
+    return local_decomposition(spark, analog(spark, "krogan", sf=0.3), 0.1)
 
 
 # --- paper Example 1 / Figure 2 ---------------------------------------------
@@ -118,6 +132,18 @@ def test_grow_candidates_k_too_high(fig1_decomp):
     assert grow_candidates(fig1_decomp, 99) == []
 
 
+def test_fg_tests_each_subgraph_once(spark, krogan_decomp):
+    """Different clique sets can have one union, so seed closures repeat
+    subgraphs: no two candidates, and so no two g-nuclei, share an edge
+    set."""
+    cands = grow_candidates(krogan_decomp, 2)
+    assert cands
+    assert len({frozenset(c) for c in cands}) == len(cands)
+    g = g_nuclei(spark, krogan_decomp, 2)
+    assert g
+    assert len({frozenset(h.edges) for h in g}) == len(g)
+
+
 def recount_closure(seed, four, tri_cliques, k):
     """Algorithm 2's closure as written: each round recount the chosen
     cliques of every triangle, then bring in all cliques of the triangles
@@ -153,6 +179,36 @@ def test_grow_candidates_equal_recount_reference(monkeypatch, graph, fig1_decomp
 def test_g_decomposition_keys(spark, fig1_decomp):
     out = g_decomposition(spark, fig1_decomp, n=200, seed=3)
     assert set(out) == {1}
+
+
+def per_nucleus_w(decomp, k, n, seed):
+    """Algorithm 3 read one ℓ-nucleus at a time: H's triangles whose
+    fraction of worlds reaches θ, labelled within H alone."""
+    locals_ = ell_nuclei(decomp, k)
+    counts = mc_triangle_counts(None, {i: h.edges for i, h in enumerate(locals_)}, k, n, seed, "w")
+    out = []
+    for i, h in enumerate(locals_):
+        keep = np.zeros(len(decomp.nu), bool)
+        for triple, hits in counts[i].items():
+            (tid,) = decomp.tids_of([triple])
+            keep[tid] = tid in h.tids and hits / n >= decomp.theta
+        out += connected_subgraphs(decomp, k, keep)
+    return out
+
+
+@pytest.mark.parametrize("graph", ["fig1", "k5", "krogan"])
+def test_w_nuclei_equal_per_nucleus_labelling(spark, graph, fig1_decomp, k5_decomp, krogan_decomp):
+    """One labelling per k gives the same w-nuclei, as sets, as labelling
+    each ℓ-nucleus on its own."""
+    decomp = {"fig1": fig1_decomp, "k5": k5_decomp, "krogan": krogan_decomp}[graph]
+
+    def as_set(hs):
+        return {(frozenset(h.edges.items()), frozenset(h.tids)) for h in hs}
+
+    for k in range(1, decomp.k_max + 1):
+        got = w_nuclei(spark, decomp, k, n=100, seed=k)
+        assert len(got) == len(as_set(got))
+        assert as_set(got) == as_set(per_nucleus_w(decomp, k, 100, k))
 
 
 def test_w_decomposition_keys(spark, k5_decomp):
@@ -244,8 +300,10 @@ def clique_union(*cliques) -> set:
 def mc_inputs(seed: int) -> dict[int, dict]:
     """Candidate edge dicts: random unions of 4-cliques on ≤ 12 vertices,
     K5, Figure 1's H, a K4 with edges in no 4-clique (a pendant edge and a
-    triangle hanging off it), and three K4s whose edges close a triangle
-    (0, 1, 4) that spans them."""
+    triangle hanging off it), three K4s whose edges close a triangle
+    (0, 1, 4) that spans them, and two K4s sharing one vertex and two
+    sharing one edge: at k = 1 their whole worlds fail Definition 3 on
+    s-connectivity alone."""
     rng = np.random.default_rng(seed)
 
     def probs(edges):
@@ -265,6 +323,8 @@ def mc_inputs(seed: int) -> dict[int, dict]:
     ]
     cands = {i: probs(e) for i, e in enumerate(shapes)}
     cands[len(cands)] = {(u, v): p for u, v, p in edges_list(fig1_H())}
+    for other in ((3, 4, 5, 6), (0, 1, 4, 5)):
+        cands[len(cands)] = dict.fromkeys(sorted(clique_union((0, 1, 2, 3), other)), 0.95)
     return cands
 
 
@@ -306,3 +366,32 @@ def test_fg_and_wg_submit_no_spark_job(spark, fig1_decomp, k5_decomp):
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     assert sc.statusTracker().getJobIdsForGroup("mc-driver-only") == []
+
+
+# --- the benchmark's calls (perfbench/workload.py) --------------------------
+
+
+def test_benchmark_warm_up_call_counts_every_k5_triangle(spark):
+    """The warm-up passes candidates as edge dicts: K5 at p = 0.9 as
+    candidate 0, k = 1, 8 worlds, seed 0, mode "g"."""
+    k5 = {e: 0.9 for e in combinations(range(5), 2)}
+    got = mc_triangle_counts(spark, {0: k5}, 1, 8, 0, "g")
+    assert list(got) == [0]
+    assert sorted(got[0]) == list(combinations(range(5), 3))
+    assert all(0 <= c <= 8 for c in got[0].values())
+
+
+def test_traced_fg_and_wg_record_their_mc_spans(spark, fig1_decomp):
+    """The tracer spans FG's and WG's Monte-Carlo calls where the module
+    functions look them up, as the benchmark's traced runs do."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer(spark.sparkContext)
+    tracer.install()
+    try:
+        global_.g_nuclei(spark, fig1_decomp, 1, n=50, seed=0)
+        weakly.w_nuclei(spark, fig1_decomp, 1, n=50, seed=0)
+    finally:
+        tracer.uninstall()
+    spans = {s.name: s for s in tracer.spans}
+    for name in ("fg.mc", "wg.mc"):
+        assert spans[name].attrs["worlds"] > 0, name
